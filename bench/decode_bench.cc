@@ -5,8 +5,9 @@
 //
 // Two measurements:
 //   1. Per-step cost at prefix lengths {8, 16, 32, 64}: the cached step
-//      should stay flat (O(1) in prefix length) while the uncached pass
-//      grows linearly.
+//      should stay nearly flat (it copies nothing already cached; only its
+//      attention reads of the t cached keys/values grow with the prefix)
+//      while the uncached pass grows linearly.
 //   2. A full 64-token greedy generation: the KV-cached GenerateGreedy vs.
 //      an uncached reference loop reimplementing the pre-PR algorithm.
 //      Target: >=3x total speedup, with bit-identical output.

@@ -3,18 +3,22 @@
 // and blocking throughput.
 //
 // Extra modes (see main):
-//   --selftest        correctness + speed gate for the dispatched GEMM,
+//   --selftest        correctness + speed gate for the dispatched GEMM and
+//                     for inference attention against the composed graph,
 //                     suitable as a ctest entry (exit code 1 on failure).
-//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison written as
-//                     BENCH_kernels.json (see README "Performance").
+//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison plus the
+//                     attention rows, written as BENCH_kernels.json (see
+//                     README "Performance").
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -286,6 +290,70 @@ GemmComparison CompareGemmAtSize(int64_t n, int reps) {
   return result;
 }
 
+// ---- Inference attention vs the composed graph (--selftest / --json-out) ---
+
+struct AttentionComparison {
+  int64_t batch = 0;
+  int64_t len = 0;
+  double composed_ms = 0.0;
+  double inference_ms = 0.0;
+  double speedup = 0.0;
+  float max_abs_diff = 0.0f;
+};
+
+// The rptbench layer-replay shapes [batch, len] (encode-mix, bulk-clean and
+// a small clean-http batch), all keys valid, at D=64 and H=4.
+constexpr int64_t kAttentionShapes[3][2] = {{16, 36}, {16, 26}, {3, 25}};
+
+// Wall time of fn() in milliseconds.
+template <typename Fn>
+double TimeMs(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(stop - start).count();
+}
+
+// One self-attention call at [batch, len, 64] two ways: with autograd on
+// (the parameters require grad, so Forward runs the composed graph) and
+// under NoGradGuard (the inference path). Each is timed in runs of 8 warm
+// calls, the runs alternate `rounds` times so both sides see the same
+// machine noise, and each side keeps its best call.
+AttentionComparison CompareAttention(int64_t batch, int64_t len, int rounds) {
+  Rng rng(9100 + batch * len);
+  MultiHeadAttention mha(64, 4, 0.0f, &rng);
+  mha.SetTraining(false);
+  Tensor x = Tensor::Randn({batch, len, 64}, 1.0f, &rng);
+  const std::vector<uint8_t> valid(static_cast<size_t>(batch * len), 1);
+  Tensor bias = BuildAttentionBias(batch, 4, len, len, valid, false);
+
+  AttentionComparison result;
+  result.batch = batch;
+  result.len = len;
+  result.composed_ms = result.inference_ms = 1e30;
+  Tensor composed, inference;
+  constexpr int kRun = 8;
+  for (int round = 0; round < rounds; ++round) {
+    for (int r = 0; r < kRun; ++r) {
+      result.composed_ms = std::min(
+          result.composed_ms,
+          TimeMs([&] { composed = mha.Forward(x, x, x, bias, &rng); }));
+    }
+    NoGradGuard no_grad;
+    for (int r = 0; r < kRun; ++r) {
+      result.inference_ms = std::min(
+          result.inference_ms,
+          TimeMs([&] { inference = mha.Forward(x, x, x, bias, &rng); }));
+    }
+  }
+  result.speedup = result.composed_ms / result.inference_ms;
+  for (int64_t i = 0; i < composed.numel(); ++i) {
+    result.max_abs_diff = std::max(
+        result.max_abs_diff, std::fabs(composed.at(i) - inference.at(i)));
+  }
+  return result;
+}
+
 // Correctness + speed gate. With AVX2 active the dispatched GEMM must agree
 // with scalar to 1e-4 and must not be slower; with scalar dispatch the
 // comparison is scalar-vs-scalar and passes trivially (diff 0, speedup ~1).
@@ -313,6 +381,28 @@ int RunSelftest() {
     if (simd && n >= 256 && cmp.speedup < 0.9) {
       std::printf("  FAIL: SIMD GEMM slower than scalar (%.2fx) at n=%lld\n",
                   cmp.speedup, static_cast<long long>(n));
+      ok = false;
+    }
+  }
+  // Inference attention must agree with the composed graph to 1e-4 and must
+  // not be slower than it, on either backend.
+  for (const auto& shape : kAttentionShapes) {
+    AttentionComparison cmp =
+        CompareAttention(shape[0], shape[1], /*rounds=*/5);
+    std::printf(
+        "  attention [%lld,%lld,64] H=4: composed=%.3f ms  inference=%.3f ms  "
+        "speedup=%.2fx  max_abs_diff=%.3g\n",
+        static_cast<long long>(cmp.batch), static_cast<long long>(cmp.len),
+        cmp.composed_ms, cmp.inference_ms, cmp.speedup,
+        static_cast<double>(cmp.max_abs_diff));
+    if (cmp.max_abs_diff > 1e-4f) {
+      std::printf("  FAIL: attention max_abs_diff %.3g > 1e-4\n",
+                  static_cast<double>(cmp.max_abs_diff));
+      ok = false;
+    }
+    if (cmp.speedup < 1.0) {
+      std::printf("  FAIL: inference attention slower than composed (%.2fx)\n",
+                  cmp.speedup);
       ok = false;
     }
   }
@@ -346,6 +436,24 @@ int WriteJsonReport(const std::string& path) {
                   static_cast<long long>(r.n), r.scalar_gflops, r.simd_gflops,
                   r.speedup, static_cast<double>(r.max_abs_diff),
                   i + 1 < rows.size() ? "," : "");
+    out << buf;
+    std::printf("%s", buf);
+  }
+  out << "  ],\n  \"attention_inference\": [\n";
+  const size_t shapes = std::size(kAttentionShapes);
+  for (size_t i = 0; i < shapes; ++i) {
+    const AttentionComparison r = CompareAttention(
+        kAttentionShapes[i][0], kAttentionShapes[i][1], /*rounds=*/5);
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"batch\": %lld, \"len\": %lld, \"composed_ms\": %.4f, "
+                  "\"inference_ms\": %.4f, \"speedup\": %.3f, "
+                  "\"max_abs_diff\": %.6g}%s\n",
+                  static_cast<long long>(r.batch),
+                  static_cast<long long>(r.len), r.composed_ms,
+                  r.inference_ms, r.speedup,
+                  static_cast<double>(r.max_abs_diff),
+                  i + 1 < shapes ? "," : "");
     out << buf;
     std::printf("%s", buf);
   }

@@ -1107,9 +1107,11 @@ void ServeRealCleaner() {
   const double elapsed = SecondsSince(start);
   server.Shutdown();
   std::fputs(server.Stats().Render("cleaner").c_str(), stdout);
-  // Every request runs the cleaner's autoregressive repair through the
-  // KV-cached DecodeStep path, so req/s here tracks real decode cost, not
-  // just scheduling.
+  // The 32 requests are built from only 2 distinct payloads, so batching
+  // and the serve layer's dedup fold them onto a few forward passes: req/s
+  // here mostly measures scheduling, not decode cost. For the real
+  // cleaner's cost on distinct payloads see rptbench/ (bulk-clean and
+  // clean-http).
   std::printf("cleaner end-to-end: %d requests in %.3fs = %.0f req/s "
               "(KV-cached decode)\n",
               kCleanerRequests, elapsed,

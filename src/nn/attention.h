@@ -33,29 +33,66 @@ Tensor BuildIncrementalAttentionBias(int64_t batch, int64_t heads,
                                      int64_t k_len,
                                      const std::vector<uint8_t>& key_valid);
 
-/// Cached key/value projections in split-head layout [B, H, T, Dh].
+/// Cached key/value projections for incremental decoding, head-major:
+/// `k` and `v` each hold [batch, heads, capacity, head_dim] floats, and the
+/// first `length` time steps of every (row, head) panel are valid. A panel is
+/// therefore a contiguous [length, head_dim] matrix that the attention
+/// kernels read in place.
 ///
 /// Two usage modes (both inference-only, no autograd):
-///   * append-mode (decoder self-attention): AppendKV adds one step's K/V
-///     along the time axis each decode step;
-///   * compute-once (decoder cross-attention): AppendKV is called a single
-///     time over the encoder memory, then reused every step.
+///   * append-mode (decoder self-attention): each decode step's K/V is
+///     written in place at time step `length`. When a panel is full the
+///     capacity grows geometrically (at least doubling), so a step copies
+///     nothing already cached except at those growth points, and the buffers
+///     are never sized up front to max_seq_len;
+///   * compute-once (decoder cross-attention): the encoder memory is appended
+///     a single time (capacity == source length), then reused every step.
+///
+/// The buffers are plain vectors, so copying a KVCache (or a DecoderState)
+/// copies the cached values: the copy and the original evolve independently.
 struct KVCache {
-  Tensor k;
-  Tensor v;
+  std::vector<float> k;
+  std::vector<float> v;
+  int64_t batch = 0;
+  int64_t heads = 0;
+  int64_t head_dim = 0;
+  int64_t capacity = 0;  // allocated time steps per (row, head) panel
+  int64_t length = 0;    // cached time steps per (row, head) panel
 
-  bool empty() const { return !k.defined(); }
-  /// Number of cached key/value time steps.
-  int64_t length() const { return k.defined() ? k.dim(2) : 0; }
+  bool empty() const { return length == 0; }
+
+  /// Offset of the (row, head) panel within `k` and `v`.
+  int64_t PanelOffset(int64_t row, int64_t head) const {
+    return (row * heads + head) * capacity * head_dim;
+  }
+
+  /// Appends `steps` time steps per row. `keys`/`values` are projected rows
+  /// laid out [rows, steps, num_heads * dim] (a Linear output); each head's
+  /// slice of a row is copied into its panel at time step `length`. The
+  /// first append fixes batch/heads/head_dim; later ones must match.
+  void Append(const float* keys, const float* values, int64_t rows,
+              int64_t steps, int64_t num_heads, int64_t dim);
 
   /// Reorders/compacts/replicates the batch axis: row i of the result is
   /// old row rows[i]. Repeats are allowed (beam replication); dropping
-  /// indices compacts finished rows out.
+  /// indices compacts finished rows out. Copies whole rows; nothing is
+  /// zero-filled.
   void GatherRows(const std::vector<int64_t>& rows);
 };
 
 /// Standard multi-head attention. Query/key/value projections, per-head
 /// scaled dot-product with an additive bias, then an output projection.
+///
+/// Two implementations of the same math:
+///   * the inference path, taken whenever no gradient is tracked and
+///     attention dropout is inactive: each (batch row, head) runs on
+///     contiguous [T, Dh] panels — GemmNT for the scores, scale plus bias and
+///     an in-place softmax, GemmNN for the context — and each head's context
+///     is written into its column block of the merged [B, Tq, D] input of the
+///     output projection. No split-head tensor, transpose or score tensor is
+///     built. Under scalar dispatch it is bit-identical to the composed graph.
+///   * the composed tensor graph (split heads, MatMul, Scale, Add, Softmax,
+///     dropout, merge heads), kept for autograd and training-mode dropout.
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int64_t d_model, int64_t num_heads, float dropout,
@@ -69,7 +106,9 @@ class MultiHeadAttention : public Module {
   /// projected and appended to the cache first (incremental self-attention
   /// over new tokens); when `key` is undefined the cache is used as-is
   /// (cross-attention whose K/V were precomputed with AppendKV). `bias`
-  /// must then be [B, H, Tq, cache_len] or undefined.
+  /// must then be [B, H, Tq, cache length] or undefined. Cached calls always
+  /// take the inference path, so they must be untracked with dropout
+  /// inactive (eval mode).
   Tensor Forward(const Tensor& query, const Tensor& key, const Tensor& value,
                  const Tensor& bias, Rng* rng,
                  KVCache* cache = nullptr) const;
@@ -81,8 +120,14 @@ class MultiHeadAttention : public Module {
   int64_t num_heads() const { return num_heads_; }
 
  private:
-  /// [B, T, D] -> [B, H, T, Dh].
+  /// [B, T, D] -> [B, H, T, Dh]. Composed graph only.
   Tensor SplitHeads(const Tensor& x, int64_t batch, int64_t t) const;
+
+  /// The inference path over projected q [B, Tq, D] and either projected
+  /// k/v [B, Tk, D] or, when `cache` is non-null, its panels. Returns the
+  /// merged-heads context [B, Tq, D] (before the output projection).
+  Tensor AttendPanels(const Tensor& q, const Tensor& k, const Tensor& v,
+                      const KVCache* cache, const Tensor& bias) const;
 
   int64_t d_model_;
   int64_t num_heads_;

@@ -89,6 +89,9 @@ class DropoutLayer : public Module {
 
   Tensor Forward(const Tensor& x, Rng* rng) const;
 
+  /// True when Forward drops anything (training mode and p > 0).
+  bool active() const { return training() && p_ > 0.0f; }
+
  private:
   float p_;
 };

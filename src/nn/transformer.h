@@ -162,9 +162,10 @@ class TransformerEncoderModel : public Module {
 };
 
 /// Incremental decoding state for one generation: per-decoder-layer
-/// self-attention K/V (grown one token per DecodeStep) plus compute-once
-/// cross-attention K/V over the encoder memory. Created by BeginDecode;
-/// batch rows track the active sequences (greedy rows or beam hypotheses).
+/// self-attention K/V (grown one token per DecodeStep, in place) plus
+/// compute-once cross-attention K/V over the encoder memory. Created by
+/// BeginDecode; batch rows track the active sequences (greedy rows or beam
+/// hypotheses). Copies are deep: a copied state decodes independently.
 struct DecoderState {
   std::vector<KVCache> self_cache;   // one per decoder layer, append-mode
   std::vector<KVCache> cross_cache;  // one per decoder layer, compute-once
@@ -199,17 +200,19 @@ class Seq2SeqTransformer : public Module {
                  Rng* rng) const;
 
   /// Starts an incremental decode over `memory` ([B, Ts, D], from Encode):
-  /// precomputes every layer's cross-attention K/V once and returns an
-  /// empty per-layer self-attention cache. `src_valid` is the source
-  /// validity mask (batch*Ts, or empty for all-valid).
+  /// projects every layer's cross-attention K/V once into head-major panels
+  /// and returns an empty per-layer self-attention cache. `src_valid` is the
+  /// source validity mask (batch*Ts, or empty for all-valid).
   DecoderState BeginDecode(const Tensor& memory,
                            const std::vector<uint8_t>& src_valid) const;
 
   /// Feeds one token per active row (`last_tokens.size() == state->batch`)
-  /// and returns next-token logits [B, V]. Each call costs O(1) in the
-  /// prefix length (one query row per layer against the cached K/V) and is
-  /// bit-identical to the final position of DecodeLogits over the full
-  /// prefix. The model should be in eval mode (the generators force it).
+  /// and returns next-token logits [B, V]. Each call projects only the new
+  /// token (one query row per layer), writes its K/V into the cache in
+  /// place and reads the cached panels directly, so no step copies the
+  /// cache; the self-attention of a step at prefix t still reads t cached
+  /// keys. Bit-identical to the final position of DecodeLogits over the
+  /// full prefix. The model must be in eval mode (the generators force it).
   Tensor DecodeStep(const std::vector<int32_t>& last_tokens,
                     DecoderState* state, Rng* rng) const;
 
@@ -218,12 +221,12 @@ class Seq2SeqTransformer : public Module {
   /// prefix never outgrows the position table). Returns one id sequence per
   /// batch row (without BOS/EOS).
   ///
-  /// Decodes the whole batch through the KV-cached DecodeStep — O(1) per
-  /// step in prefix length; rows that emit EOS are compacted out of the
-  /// decode state, so a micro-batch of ragged-length answers only pays for
-  /// its active rows. Eval mode is forced for the duration of the call
-  /// (and restored), so results are deterministic even on a model left in
-  /// training mode.
+  /// Decodes the whole batch through the KV-cached DecodeStep (no per-step
+  /// copy of the cache; step t reads t cached keys); rows that emit EOS are
+  /// compacted out of the decode state, so a micro-batch of ragged-length
+  /// answers only pays for its active rows. Eval mode is forced for the
+  /// duration of the call (and restored), so results are deterministic even
+  /// on a model left in training mode.
   std::vector<std::vector<int32_t>> GenerateGreedy(const TokenBatch& src,
                                                    int32_t bos_id,
                                                    int32_t eos_id,

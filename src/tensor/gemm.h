@@ -58,7 +58,9 @@ void GemmNNEx(const float* a, const float* b, const float* bias, float* c,
 
 // ---- Dispatched row-wise reductions ----------------------------------------
 
-/// Row-wise softmax over [rows, cols]: y[r] = softmax(x[r]).
+/// Row-wise softmax over [rows, cols]: y[r] = softmax(x[r]). `x` may alias
+/// `y` (x == y computes in place, bit-identical to the out-of-place result);
+/// partially overlapping buffers are not supported.
 void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t cols);
 
 /// Row-wise log-softmax over [rows, cols].

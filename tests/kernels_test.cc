@@ -210,6 +210,31 @@ TEST(ReductionKernelsTest, Avx2MatchesScalar) {
   }
 }
 
+TEST(ReductionKernelsTest, SoftmaxInPlaceMatchesOutOfPlaceBitExact) {
+  // The inference attention path runs SoftmaxRows(x, x, ...) over its score
+  // panels; aliasing must not change a single bit on either backend.
+  std::vector<TensorBackend> backends = {TensorBackend::kScalar};
+  if (Avx2Available()) backends.push_back(TensorBackend::kAvx2);
+  Rng rng(78);
+  for (TensorBackend backend : backends) {
+    BackendGuard guard(backend);
+    for (int64_t cols : {1, 3, 7, 8, 9, 31, 64, 200}) {
+      const int64_t rows = 5;
+      auto x = RandVec(rows * cols, &rng, 2.0f);
+      // Masked entries, as the attention bias produces them.
+      for (size_t i = 0; i < x.size(); i += 3) x[i] -= 1e9f;
+      std::vector<float> out_of_place(x.size());
+      SoftmaxRows(x.data(), out_of_place.data(), rows, cols);
+      std::vector<float> in_place = x;
+      SoftmaxRows(in_place.data(), in_place.data(), rows, cols);
+      for (size_t i = 0; i < x.size(); ++i) {
+        ASSERT_EQ(in_place[i], out_of_place[i])
+            << TensorBackendName(backend) << " cols=" << cols << " i=" << i;
+      }
+    }
+  }
+}
+
 // ---- Fused epilogues -------------------------------------------------------
 
 TEST(FusedEpilogueTest, ScalarFusedMatchesUnfusedComposition) {

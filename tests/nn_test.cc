@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
+#include "tensor/cpu_features.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -126,6 +129,119 @@ TEST(AttentionTest, MaskedPositionsDoNotInfluenceOutput) {
   for (int t = 0; t < 3; ++t) {
     for (int d = 0; d < 16; ++d) {
       EXPECT_NEAR(y1.at(t * 16 + d), y2.at(t * 16 + d), 1e-4);
+    }
+  }
+}
+
+// ---- Inference attention path vs the composed graph ------------------------
+
+// Untracked attention takes the panel path; the same call with autograd on
+// takes the composed graph. They must agree bit for bit under scalar
+// dispatch and within the 1e-4 tier under AVX2.
+void ExpectMatchesComposed(const Tensor& inference, const Tensor& composed) {
+  ASSERT_EQ(inference.shape(), composed.shape());
+  ASSERT_FALSE(inference.requires_grad());
+  ASSERT_TRUE(composed.requires_grad()) << "reference did not track grads";
+  const bool exact = ActiveTensorBackend() == TensorBackend::kScalar;
+  for (int64_t i = 0; i < composed.numel(); ++i) {
+    if (exact) {
+      ASSERT_EQ(inference.at(i), composed.at(i)) << "element " << i;
+    } else {
+      ASSERT_NEAR(inference.at(i), composed.at(i), 1e-4) << "element " << i;
+    }
+  }
+}
+
+// Key-validity flags for `batch` rows of `len` keys; row b keeps
+// len - 2*b valid keys (at least one), so later rows are padded.
+std::vector<uint8_t> PaddedValid(int64_t batch, int64_t len) {
+  std::vector<uint8_t> valid(static_cast<size_t>(batch * len), 1);
+  for (int64_t b = 0; b < batch; ++b) {
+    const int64_t keep = std::max<int64_t>(1, len - 2 * b);
+    for (int64_t t = keep; t < len; ++t) {
+      valid[static_cast<size_t>(b * len + t)] = 0;
+    }
+  }
+  return valid;
+}
+
+TEST(InferenceAttentionTest, SelfAttentionMatchesComposedGraph) {
+  Rng rng(901);
+  // Dropout is configured but inactive in eval mode.
+  MultiHeadAttention mha(32, 4, 0.1f, &rng);
+  mha.SetTraining(false);
+  const int64_t batch = 3, len = 9;
+  Tensor x = Tensor::Randn({batch, len, 32}, 1.0f, &rng);
+  const Tensor padded_causal = BuildAttentionBias(
+      batch, 4, len, len, PaddedValid(batch, len), /*causal=*/true);
+  for (const Tensor& bias : {padded_causal, Tensor()}) {
+    Tensor composed = mha.Forward(x, x, x, bias, &rng);
+    NoGradGuard no_grad;
+    ExpectMatchesComposed(mha.Forward(x, x, x, bias, &rng), composed);
+  }
+}
+
+TEST(InferenceAttentionTest, CrossAttentionMatchesComposedGraph) {
+  Rng rng(902);
+  MultiHeadAttention mha(32, 4, 0.0f, &rng);
+  mha.SetTraining(false);
+  const int64_t batch = 3, q_len = 5, k_len = 11;
+  Tensor query = Tensor::Randn({batch, q_len, 32}, 1.0f, &rng);
+  Tensor memory = Tensor::Randn({batch, k_len, 32}, 1.0f, &rng);
+  Tensor bias = BuildAttentionBias(batch, 4, q_len, k_len,
+                                   PaddedValid(batch, k_len), false);
+  Tensor composed = mha.Forward(query, memory, memory, bias, &rng);
+  NoGradGuard no_grad;
+  ExpectMatchesComposed(mha.Forward(query, memory, memory, bias, &rng),
+                        composed);
+}
+
+TEST(InferenceAttentionTest, CachedCallsMatchComposedGraph) {
+  Rng rng(903);
+  MultiHeadAttention mha(32, 4, 0.0f, &rng);
+  mha.SetTraining(false);
+  const int64_t batch = 3, heads = 4;
+  for (int64_t q_len : {1, 5}) {
+    for (int64_t k_len : {1, 7, 8, 17, 36}) {
+      SCOPED_TRACE("Tq=" + std::to_string(q_len) +
+                   " Tk=" + std::to_string(k_len));
+      Tensor keys = Tensor::Randn({batch, k_len, 32}, 1.0f, &rng);
+      Tensor query = Tensor::Randn({batch, q_len, 32}, 1.0f, &rng);
+
+      // Cross-attention style: the cache is filled once, the call passes no
+      // key and attends to the cache as-is.
+      Tensor cross_bias = BuildAttentionBias(batch, heads, q_len, k_len,
+                                             PaddedValid(batch, k_len),
+                                             false);
+      Tensor composed = mha.Forward(query, keys, keys, cross_bias, &rng);
+      {
+        NoGradGuard no_grad;
+        KVCache cache;
+        mha.AppendKV(keys, keys, &cache);
+        ExpectMatchesComposed(mha.Forward(query, Tensor(), Tensor(),
+                                          cross_bias, &rng, &cache),
+                              composed);
+      }
+
+      // Self-attention style: the first k_len - q_len keys are appended one
+      // step at a time (growing the cache), then the call appends the last
+      // q_len and attends causally over all k_len.
+      if (k_len < q_len) continue;
+      const int64_t prefix = k_len - q_len;
+      Tensor fresh = Slice(keys, 1, prefix, k_len);
+      Tensor causal = Slice(
+          BuildAttentionBias(batch, heads, k_len, k_len, {}, true), 2,
+          prefix, k_len);
+      composed = mha.Forward(fresh, keys, keys, causal, &rng);
+      NoGradGuard no_grad;
+      KVCache cache;
+      for (int64_t t = 0; t < prefix; ++t) {
+        Tensor step = Slice(keys, 1, t, t + 1);
+        mha.AppendKV(step, step, &cache);
+      }
+      ExpectMatchesComposed(
+          mha.Forward(fresh, fresh, fresh, causal, &rng, &cache), composed);
+      EXPECT_EQ(cache.length, k_len);
     }
   }
 }
@@ -641,7 +757,8 @@ TEST(IncrementalDecodeTest, DecoderStateGatherRowsReordersAndReplicates) {
   model.DecodeStep({4, 5, 6}, &state, &rng);
 
   // Baseline: all three rows, one more step. (DecoderState copies are safe:
-  // DecodeStep replaces cache tensors instead of mutating them in place.)
+  // a copy owns its cache buffers, so in-place appends to one never reach
+  // the other — CopiedDecoderStateStaysIndependent checks this.)
   DecoderState baseline = state;
   Tensor all = model.DecodeStep({7, 8, 9}, &baseline, &rng);
 
@@ -665,6 +782,94 @@ TEST(IncrementalDecodeTest, DecoderStateGatherRowsReordersAndReplicates) {
     EXPECT_EQ(rep.at(1 * v + c), all.at(0 * v + c)) << "vocab " << c;
     EXPECT_EQ(rep.at(2 * v + c), all.at(1 * v + c)) << "vocab " << c;
   }
+}
+
+TEST(IncrementalDecodeTest, CopiedDecoderStateStaysIndependent) {
+  // DecodeStep writes K/V into the cache in place. A copied state must own
+  // its buffers: stepping the copy and the original with different tokens
+  // gives each exactly what a fresh decode of its own history gives.
+  Rng rng(515);
+  auto config = SmallConfig(20);
+  Seq2SeqTransformer model(config, &rng);
+  model.SetTraining(false);
+  NoGradGuard no_grad;
+  TokenBatch src = TokenBatch::Pack({{5, 7, 3}, {4, 9}, {13, 6, 8}}, 0);
+  Tensor memory = model.Encode(src, &rng);
+
+  const auto decode = [&](const std::vector<std::vector<int32_t>>& steps,
+                          DecoderState* state) {
+    Tensor logits;
+    for (const auto& tokens : steps) {
+      logits = model.DecodeStep(tokens, state, &rng);
+    }
+    return logits;
+  };
+  const std::vector<std::vector<int32_t>> shared = {
+      {1, 1, 1}, {4, 5, 6}, {7, 8, 9}};
+  DecoderState original = model.BeginDecode(memory, src.valid);
+  decode(shared, &original);
+  DecoderState copy = original;
+  // Two more steps each: the first fits the current capacity (an in-place
+  // write), the second grows it.
+  const std::vector<std::vector<int32_t>> tail_a = {{3, 3, 3}, {10, 11, 12}};
+  const std::vector<std::vector<int32_t>> tail_b = {{9, 4, 17}, {6, 6, 6}};
+  Tensor got_a = decode({tail_a[0]}, &original);
+  Tensor got_b = decode({tail_b[0]}, &copy);
+  Tensor got_a2 = decode({tail_a[1]}, &original);
+  Tensor got_b2 = decode({tail_b[1]}, &copy);
+
+  for (const auto& [tail, got, got2] :
+       {std::tuple{tail_a, got_a, got_a2}, std::tuple{tail_b, got_b, got_b2}}) {
+    std::vector<std::vector<int32_t>> history = shared;
+    history.push_back(tail[0]);
+    DecoderState fresh = model.BeginDecode(memory, src.valid);
+    Tensor want = decode(history, &fresh);
+    Tensor want2 = decode({tail[1]}, &fresh);
+    ASSERT_EQ(got.numel(), want.numel());
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      ASSERT_EQ(got.at(i), want.at(i)) << "element " << i;
+      ASSERT_EQ(got2.at(i), want2.at(i)) << "element " << i;
+    }
+  }
+}
+
+TEST(IncrementalDecodeTest, DecodeToMaxSeqLenMatchesFullPassBitExact) {
+  // The self-attention cache starts small and grows geometrically; every
+  // step up to the position-table limit, across each growth, must still
+  // equal the last position of a full DecodeLogits pass bit for bit.
+  Rng rng(525);
+  auto config = SmallConfig(20);
+  Seq2SeqTransformer model(config, &rng);
+  model.SetTraining(false);
+  NoGradGuard no_grad;
+  TokenBatch src = TokenBatch::Pack({{5, 7, 3, 11}, {4, 9}}, 0);
+  Tensor memory = model.Encode(src, &rng);
+  const int64_t v = config.vocab_size;
+
+  DecoderState state = model.BeginDecode(memory, src.valid);
+  std::vector<std::vector<int32_t>> prefixes = {{1}, {1}};
+  for (int64_t step = 0; step + 1 < config.max_seq_len; ++step) {
+    std::vector<int32_t> last = {prefixes[0].back(), prefixes[1].back()};
+    Tensor cached = model.DecodeStep(last, &state, &rng);
+    if (step == 0) {
+      // Sized to what is cached, not preallocated to max_seq_len.
+      EXPECT_LT(state.self_cache[0].capacity, config.max_seq_len);
+    }
+    ASSERT_GE(state.self_cache[0].capacity, state.self_cache[0].length);
+    TokenBatch tgt = TokenBatch::Pack(prefixes, 0);
+    Tensor full = model.DecodeLogits(tgt, memory, src.valid, &rng);
+    const int64_t t = tgt.len - 1;
+    for (int64_t b = 0; b < 2; ++b) {
+      for (int64_t c = 0; c < v; ++c) {
+        ASSERT_EQ(cached.at(b * v + c), full.at((b * tgt.len + t) * v + c))
+            << "step " << step << " row " << b << " vocab " << c;
+      }
+    }
+    for (size_t b = 0; b < prefixes.size(); ++b) {
+      prefixes[b].push_back(static_cast<int32_t>(3 + (step + 5 * b) % 17));
+    }
+  }
+  EXPECT_EQ(state.self_cache[0].length, config.max_seq_len - 1);
 }
 
 // Reference beam search without caches or early stopping: the pre-KV-cache

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "bulk/bulk_driver.h"
 #include "serve/routed_server.h"
 #include "serve/sessions.h"
@@ -31,65 +32,20 @@
 
 #if defined(__linux__)
 #include <stdlib.h>
-#include <unistd.h>
 #endif
 
 namespace {
 
+using rpt::bench::Check;
+using rpt::bench::CurrentRssBytes;
+using rpt::bench::g_failures;
+using rpt::bench::RecordMetric;
+using rpt::bench::WriteJsonMetrics;
 using rpt::ModelSession;
 using rpt::RouteSpec;
 using rpt::RoutedServer;
 using rpt::ServerConfig;
 using std::chrono::steady_clock;
-
-int g_failures = 0;
-
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void RecordMetric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
-
-void WriteJsonMetrics(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot open json output '%s'\n", path);
-    ++g_failures;
-    return;
-  }
-  std::fprintf(f, "{\n");
-  for (const auto& [name, value] : g_metrics) {
-    std::fprintf(f, "  \"%s\": %.6g,\n", name.c_str(), value);
-  }
-  std::fprintf(f, "  \"failures\": %d\n}\n", g_failures);
-  std::fclose(f);
-  std::printf("\nmetrics: %zu entries written to %s\n", g_metrics.size() + 1,
-              path);
-}
-
-void Check(bool ok, const char* what) {
-  if (ok) {
-    std::printf("OK: %s\n", what);
-  } else {
-    std::printf("FAIL: %s\n", what);
-    ++g_failures;
-  }
-}
-
-size_t CurrentRssBytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long total_pages = 0, resident_pages = 0;
-  const int got = std::fscanf(f, "%lu %lu", &total_pages, &resident_pages);
-  std::fclose(f);
-  if (got != 2) return 0;
-  return static_cast<size_t>(resident_pages) *
-         static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-#else
-  return 0;
-#endif
-}
 
 /// Deterministic cleaner stand-in (same payload dialect as
 /// CleanerSession::FormatCellQuery): uppercases the masked cell. Output is

@@ -1,5 +1,5 @@
 // Serving throughput: sequential one-at-a-time inference vs dynamic
-// micro-batching through rpt::InferenceServer, plus routed multi-shard
+// micro-batching through one rpt::ServeShard, plus routed multi-shard
 // serving through rpt::RoutedServer, on the same synthetic workloads.
 //
 // The synthetic session has an accelerator-shaped cost profile: a fixed
@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "eval/report.h"
 #include "nn/backend.h"
 #include "nn/weight_store.h"
@@ -54,27 +55,28 @@
 #include "rpt/cleaner.h"
 #include "rpt/vocab_builder.h"
 #include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 #include "table/table.h"
 #include "tensor/quant.h"
 #include "util/rng.h"
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 namespace {
 
 using rpt::BatchPolicy;
+using rpt::bench::Check;
+using rpt::bench::CurrentRssBytes;
+using rpt::bench::g_failures;
+using rpt::bench::RecordMetric;
+using rpt::bench::WriteJsonMetrics;
 using rpt::CleanerSession;
-using rpt::InferenceServer;
 using rpt::ModelSession;
 using rpt::ReportTable;
 using rpt::RouteSpec;
 using rpt::RoutedServer;
 using rpt::RoutedStatsSnapshot;
 using rpt::ServeResponse;
+using rpt::ServeShard;
 using rpt::ServerConfig;
 using rpt::ServerStatsSnapshot;
 using rpt::SyntheticSession;
@@ -86,58 +88,6 @@ constexpr int kRequests = 256;
 constexpr int kClientThreads = 8;
 constexpr auto kPerPass = microseconds(1500);
 constexpr auto kPerItem = microseconds(100);
-
-int g_failures = 0;
-
-/// Flat name -> value metrics accumulated across sections, written as
-/// BENCH_serve.json when --json-out=PATH is given (the CI artifact).
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void RecordMetric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
-
-void WriteJsonMetrics(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot open json output '%s'\n", path);
-    ++g_failures;
-    return;
-  }
-  std::fprintf(f, "{\n");
-  for (const auto& [name, value] : g_metrics) {
-    std::fprintf(f, "  \"%s\": %.6g,\n", name.c_str(), value);
-  }
-  std::fprintf(f, "  \"failures\": %d\n}\n", g_failures);
-  std::fclose(f);
-  std::printf("\nmetrics: %zu entries written to %s\n", g_metrics.size() + 1,
-              path);
-}
-
-/// Resident set size of this process, or 0 where /proc is unavailable.
-size_t CurrentRssBytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long total_pages = 0, resident_pages = 0;
-  const int got = std::fscanf(f, "%lu %lu", &total_pages, &resident_pages);
-  std::fclose(f);
-  if (got != 2) return 0;
-  return static_cast<size_t>(resident_pages) *
-         static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-#else
-  return 0;
-#endif
-}
-
-void Check(bool ok, const char* what) {
-  if (ok) {
-    std::printf("\nOK: %s\n", what);
-  } else {
-    std::printf("\nFAIL: %s\n", what);
-    ++g_failures;
-  }
-}
 
 /// The synthetic workload: every 4th request repeats an earlier payload,
 /// the way dirty cells repeat across a large table.
@@ -166,8 +116,8 @@ double RunSequential(const std::vector<std::string>& inputs) {
   return static_cast<double>(inputs.size()) / SecondsSince(start);
 }
 
-/// Serves the workload from kClientThreads concurrent clients through an
-/// InferenceServer; returns requests/sec and prints server stats. With
+/// Serves the workload from kClientThreads concurrent clients through a
+/// ServeShard; returns requests/sec and prints server stats. With
 /// `passes > 1` the whole workload is replayed after the first pass
 /// completes — repeats then land in the warmed LRU cache (cache lookups
 /// happen at submit time; only same-batch duplicates coalesce in flight).
@@ -179,7 +129,7 @@ double RunServed(const std::vector<std::string>& inputs, size_t max_batch,
   config.max_batch_delay = microseconds(1000);
   config.queue_capacity = 1024;
   config.cache_capacity = cache_capacity;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   const auto start = steady_clock::now();
   for (int pass = 0; pass < passes; ++pass) {
@@ -446,7 +396,7 @@ AdaptiveOutcome RunAdaptivePolicy(
   config.batch_policy = policy;
   config.min_batch_delay = microseconds(100);
   config.target_queue_wait_ms = 5.0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::vector<std::string> order;
   std::vector<std::future<ServeResponse>> futures;
@@ -926,7 +876,7 @@ double RunDedupCondition(const std::vector<DedupRequest>& workload,
                          const std::shared_ptr<SyntheticSession>& session,
                          const ServerConfig& config, const char* label,
                          ServerStatsSnapshot* stats_out) {
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
   std::atomic<size_t> mismatches{0};
   const auto start = steady_clock::now();
   std::vector<std::thread> clients;
@@ -938,7 +888,7 @@ double RunDedupCondition(const std::vector<DedupRequest>& workload,
       const size_t end = (t == kClientThreads - 1) ? workload.size()
                                                    : begin + per_thread;
       for (size_t i = begin; i < end; ++i) {
-        ServeResponse r = server.SubmitWait(workload[i].payload);
+        ServeResponse r = server.Submit(workload[i].payload).get();
         // The payload's surface noise may have uppercased the sku token;
         // fold before matching.
         std::string folded = r.output;
@@ -1038,7 +988,7 @@ void SemanticDedup(bool smoke) {
   burst_config.cache_capacity = 0;  // coalescing alone carries the burst
   auto burst_session = std::make_shared<SyntheticSession>(
       kPerPass, kPerItem, SyntheticWait::kSleep);
-  InferenceServer burst_server(burst_session, burst_config);
+  ServeShard burst_server(burst_session, burst_config);
   const int burst = smoke ? 32 : 64;
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(burst);
@@ -1089,7 +1039,7 @@ void ServeRealCleaner() {
   ServerConfig server_config;
   server_config.max_batch_size = 8;
   server_config.max_batch_delay = microseconds(2000);
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   constexpr int kCleanerRequests = 32;
   const auto start = steady_clock::now();

@@ -2,7 +2,7 @@
 //
 // Pre-trains a tiny cleaner on the Fig. 1(a) table (see quickstart.cc),
 // wraps it in a CleanerSession, and serves masked-cell queries from four
-// concurrent client threads through the micro-batching InferenceServer —
+// concurrent client threads through the micro-batching ServeShard —
 // the interactive human-in-the-loop shape the paper describes, at
 // many-users scale. Repeated queries hit the LRU cache; the run ends with
 // the server's stats block.
@@ -20,17 +20,17 @@
 
 #include "rpt/cleaner.h"
 #include "rpt/vocab_builder.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 #include "table/table.h"
 
 namespace {
 
 using rpt::CleanerSession;
-using rpt::InferenceServer;
 using rpt::RptCleaner;
 using rpt::Schema;
 using rpt::ServeResponse;
+using rpt::ServeShard;
 using rpt::ServerConfig;
 using rpt::Table;
 using rpt::Tuple;
@@ -78,7 +78,7 @@ int main() {
   server_config.max_batch_size = 8;
   server_config.max_batch_delay = std::chrono::microseconds(2000);
   server_config.cache_capacity = 64;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   // Four concurrent "users" each ask for the city of several people; the
   // queries overlap, so later ones ride the cache.
@@ -96,8 +96,8 @@ int main() {
         const auto& [name, expertise] = people[(user + q) % people.size()];
         Tuple query = {Value::String(name), Value::String(expertise),
                        Value::Null()};
-        ServeResponse r = server.SubmitWait(
-            CleanerSession::FormatCellQuery(query, 2));
+        ServeResponse r = server.Submit(
+            CleanerSession::FormatCellQuery(query, 2)).get();
         std::lock_guard<std::mutex> lock(print_mu);
         if (r.status.ok()) {
           std::printf("user %d: (%s, %s, [M]) -> %-12s %s\n", user,
@@ -114,6 +114,6 @@ int main() {
 
   server.Shutdown();
   std::printf("\n");
-  server.PrintStats();
+  std::fputs(server.Stats().Render(session->name()).c_str(), stdout);
   return 0;
 }

@@ -8,7 +8,9 @@
 //                      "latency_ms": ..., "batch_size": ...} on success,
 //                      {"error": "<CodeName>", "message": ...} on a serve
 //                      failure. Lines come back in request order.
-//   GET  /metrics      Prometheus text exposition of the process registry.
+//   GET  /metrics      RoutedServer::MetricsText(): Prometheus text of the
+//                      process registry plus the server's shard and route
+//                      series.
 //   GET  /healthz      "ok\n" while the process is up.
 //
 // Framing: a single-line body answers with a normal Content-Length response

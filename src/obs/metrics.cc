@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -195,46 +196,51 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
-  // Collect under each shard's lock, then merge into name order. Families
-  // within a shard map are already name-sorted; a final sort interleaves
-  // the shards.
   std::vector<MetricSnapshot> out;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [name, family] : shard.families) {
       for (const auto& [label_key, series] : family.series) {
-        MetricSnapshot snap;
-        snap.name = name;
-        snap.kind = family.kind;
-        snap.help = family.help;
-        snap.labels = series.labels;
-        switch (family.kind) {
-          case MetricKind::kCounter:
-            snap.value = static_cast<double>(series.counter->Value());
-            break;
-          case MetricKind::kGauge:
-            snap.value = series.gauge->Value();
-            break;
-          case MetricKind::kHistogram:
-            snap.bounds = series.histogram->bounds();
-            snap.buckets = series.histogram->BucketCounts();
-            // Derived from the bucket reads, not Count(): Observe bumps the
-            // bucket and the count in two steps, so a concurrent snapshot
-            // could otherwise render `_count` != the +Inf bucket.
-            for (uint64_t b : snap.buckets) snap.count += b;
-            snap.sum = series.histogram->Sum();
-            break;
+        const Labels& labels = series.labels;
+        if (family.kind == MetricKind::kHistogram) {
+          const Histogram& h = *series.histogram;
+          out.push_back(HistogramSnapshot(name, family.help, labels, h));
+          continue;
         }
-        out.push_back(std::move(snap));
+        const double value = family.kind == MetricKind::kCounter
+                                 ? static_cast<double>(series.counter->Value())
+                                 : series.gauge->Value();
+        out.push_back(
+            ValueSnapshot(name, family.kind, family.help, labels, value));
       }
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const MetricSnapshot& a, const MetricSnapshot& b) {
-                     if (a.name != b.name) return a.name < b.name;
-                     return a.labels < b.labels;
-                   });
   return out;
+}
+
+MetricSnapshot ValueSnapshot(std::string name, MetricKind kind,
+                             std::string help, Labels labels, double value) {
+  MetricSnapshot snap;
+  snap.name = std::move(name);
+  snap.kind = kind;
+  snap.help = std::move(help);
+  snap.labels = std::move(labels);
+  snap.value = value;
+  return snap;
+}
+
+MetricSnapshot HistogramSnapshot(std::string name, std::string help,
+                                 Labels labels, const Histogram& histogram) {
+  MetricSnapshot snap;
+  snap.name = std::move(name);
+  snap.kind = MetricKind::kHistogram;
+  snap.help = std::move(help);
+  snap.labels = std::move(labels);
+  snap.bounds = histogram.bounds();
+  snap.buckets = histogram.BucketCounts();
+  for (uint64_t b : snap.buckets) snap.count += b;
+  snap.sum = histogram.Sum();
+  return snap;
 }
 
 namespace {
@@ -277,12 +283,18 @@ void RenderHistogram(const MetricSnapshot& snap, std::ostringstream* out) {
        << snap.count << '\n';
 }
 
-}  // namespace
-
-std::string MetricsRegistry::TextFormat() const {
+/// The one exposition renderer: sorts by (name, labels) so repeated
+/// scrapes are stable and takes each family's preamble from its first
+/// series.
+std::string RenderExposition(std::vector<MetricSnapshot> series) {
+  std::stable_sort(series.begin(), series.end(),
+                   [](const MetricSnapshot& a, const MetricSnapshot& b) {
+                     if (a.name != b.name) return a.name < b.name;
+                     return a.labels < b.labels;
+                   });
   std::ostringstream out;
   std::string current_family;
-  for (const MetricSnapshot& snap : Snapshot()) {
+  for (const MetricSnapshot& snap : series) {
     if (snap.name != current_family) {
       current_family = snap.name;
       if (!snap.help.empty()) {
@@ -300,9 +312,21 @@ std::string MetricsRegistry::TextFormat() const {
   return out.str();
 }
 
+}  // namespace
+
+std::string MetricsRegistry::TextFormat() const {
+  return RenderExposition(Snapshot());
+}
+
 MetricsRegistry& GlobalMetrics() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
+}
+
+std::string GlobalExposition(std::vector<MetricSnapshot> owned) {
+  std::vector<MetricSnapshot> series = GlobalMetrics().Snapshot();
+  std::move(owned.begin(), owned.end(), std::back_inserter(series));
+  return RenderExposition(std::move(series));
 }
 
 }  // namespace obs

@@ -1,24 +1,30 @@
-// Process-wide metrics registry for the serving stack.
+// Metrics instruments, the process-wide registry, and Prometheus exposition.
 //
-// Three instrument kinds, registered by name + label set and alive for the
-// rest of the process:
+// Three instrument kinds; the registry keeps them by name + label set,
+// alive for the rest of the process:
 //   * Counter   — monotonic; writes are striped across cache-line-padded
-//     atomic cells indexed by thread, so concurrent Submit paths never
-//     contend on one line.
-//   * Gauge     — last-written double (queue depth, arrival rate).
+//     atomic cells indexed by thread, so concurrent writers never contend
+//     on one line.
+//   * Gauge     — last-written double (open HTTP connections).
 //   * Histogram — fixed upper-bound buckets with lock-free atomic counts,
-//     plus running count/sum (latency and batch-size distributions).
+//     plus running count/sum (latency distributions). A Histogram can also
+//     be a plain member of the object that owns it (ServeShard does this).
 //
 // The registry itself is lock-sharded: registration and snapshotting take a
 // per-shard mutex chosen by the metric name's hash; the instruments' hot
 // paths (Increment/Set/Observe) are pure atomics and never touch a mutex.
-// Snapshot() returns a stable, name-sorted view; TextFormat() renders it as
-// Prometheus text exposition (# HELP / # TYPE preambles, `_bucket`-with-
-// cumulative-`le`/`_sum`/`_count` histogram series).
 //
-// Compile-time escape hatch: building with -DRPT_OBS_OFF turns every write
-// into a no-op (registration still works, values stay zero), so the hot
-// path can be proven free of observability cost.
+// Exposition is one renderer over a vector of series snapshots: it sorts
+// them and renders Prometheus text (# HELP / # TYPE preambles, `_bucket`-
+// with-cumulative-`le`/`_sum`/`_count` histogram series). TextFormat()
+// renders the registry alone; GlobalExposition() renders the registry plus
+// series whose owners keep them outside it (a ServeShard's accounting
+// record), so series owned by different objects never share an entry.
+//
+// Compile-time escape hatch: building with -DRPT_OBS_OFF turns every
+// Counter/Gauge/Histogram write into a no-op (registration still works,
+// values stay zero), so the hot path can be proven free of observability
+// cost.
 
 #ifndef RPT_OBS_METRICS_H_
 #define RPT_OBS_METRICS_H_
@@ -168,7 +174,7 @@ class MetricsRegistry {
                           std::vector<double> bounds,
                           const std::string& help = "");
 
-  /// All series, sorted by (name, labels) for stable output.
+  /// All series, in no particular order (exposition sorts them).
   std::vector<MetricSnapshot> Snapshot() const;
 
   /// Prometheus text exposition of Snapshot().
@@ -205,6 +211,23 @@ class MetricsRegistry {
 
 /// The process-wide registry every subsystem records into.
 MetricsRegistry& GlobalMetrics();
+
+/// One counter or gauge series.
+MetricSnapshot ValueSnapshot(std::string name, MetricKind kind,
+                             std::string help, Labels labels, double value);
+
+/// One histogram series read from `histogram`. `count` is derived from the
+/// bucket reads, not Count(): Observe bumps a bucket and the count in two
+/// steps, so a concurrent read could otherwise render `_count` != the +Inf
+/// bucket.
+MetricSnapshot HistogramSnapshot(std::string name, std::string help,
+                                 Labels labels, const Histogram& histogram);
+
+/// Prometheus text exposition of the process-wide registry's series plus
+/// `owned`, series kept by their owners outside any registry. Series are
+/// sorted by (name, labels) so repeated scrapes are stable; each family's
+/// # HELP / # TYPE preamble comes from its first series.
+std::string GlobalExposition(std::vector<MetricSnapshot> owned);
 
 /// `{key="value",...}` with keys sorted and values escaped; "" when empty.
 std::string RenderLabels(const Labels& labels);

@@ -1,9 +1,9 @@
 // ModelSession: the model-side contract of the serving layer.
 //
-// The InferenceServer (serve/server.h) is model-agnostic: it batches opaque
-// string payloads and hands them to a ModelSession, which owns one loaded
-// model (cleaner, matcher, or extractor — serve/sessions.h) and executes a
-// whole micro-batch with a single forward pass. Payload formats are
+// The serving layer (ServeShard, serve/shard.h) is model-agnostic: it
+// batches opaque string payloads and hands them to a ModelSession, which
+// owns one loaded model (cleaner, matcher, or extractor — serve/sessions.h)
+// and executes a whole micro-batch with a single forward pass. Payload formats are
 // session-specific; the Format*/Parse* helpers in serve/sessions.h are the
 // canonical encoders.
 //

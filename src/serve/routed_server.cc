@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "eval/report.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/affinity.h"
 #include "util/logging.h"
@@ -84,13 +85,6 @@ RoutedServer::RoutedServer(std::vector<RouteSpec> routes) {
     index_[route.name] = routes_.size();
     routes_.push_back(std::move(route));
   }
-  obs::MetricsRegistry& reg = obs::GlobalMetrics();
-  unknown_route_metric_ =
-      reg.GetCounter("rpt_route_unknown_total", {},
-                     "Submits naming no configured route");
-  fallback_metric_ =
-      reg.GetCounter("rpt_route_fallback_total", {},
-                     "Saturation re-routes off the hash-chosen shard");
 }
 
 RoutedServer::~RoutedServer() { Shutdown(); }
@@ -116,7 +110,6 @@ void RoutedServer::SubmitAsync(const std::string& route, std::string input,
   const auto it = index_.find(route);
   if (it == index_.end()) {
     unknown_route_.fetch_add(1, std::memory_order_relaxed);
-    unknown_route_metric_->Increment();
     ServeResponse r;
     r.status = Status::NotFound("no route named '" + route + "'");
     done(std::move(r));
@@ -144,7 +137,6 @@ void RoutedServer::SubmitAsync(const std::string& route, std::string input,
     }
     if (best != shard) {
       fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      fallback_metric_->Increment();
       shard = best;
     }
   }
@@ -194,7 +186,21 @@ void RoutedServer::PrintStats() const {
 }
 
 std::string RoutedServer::MetricsText() const {
-  return obs::GlobalMetrics().TextFormat();
+  std::vector<obs::MetricSnapshot> series;
+  for (const Route& route : routes_) {
+    for (const auto& shard : route.shards) shard->AppendMetrics(&series);
+  }
+  constexpr obs::MetricKind kCounter = obs::MetricKind::kCounter;
+  const auto counter = [&](const char* name, const char* help,
+                           const std::atomic<uint64_t>& value) {
+    const double total = static_cast<double>(value.load());
+    series.push_back(obs::ValueSnapshot(name, kCounter, help, {}, total));
+  };
+  counter("rpt_route_unknown_total", "Submits naming no configured route",
+          unknown_route_);
+  counter("rpt_route_fallback_total",
+          "Saturation re-routes off the hash-chosen shard", fallbacks_);
+  return obs::GlobalExposition(std::move(series));
 }
 
 std::string RoutedServer::DumpTrace() const {

@@ -38,10 +38,12 @@
 //
 // Observability: every Submit runs under a per-request trace id (obs/
 // trace.h; shards record submit/queue-wait/batch/execute spans against it
-// while the global tracer is enabled), and every shard mirrors its counters
-// into the process-wide metrics registry under server="<route>#<shard>".
-// MetricsText() exposes the registry as Prometheus text; DumpTrace() the
-// retained spans as Chrome trace JSON.
+// while the global tracer is enabled). MetricsText() is Prometheus text of
+// the process-wide metrics registry plus this server's own series: each
+// shard's rpt_serve_* record under server="<route>#<shard>" and the two
+// unlabelled rpt_route_* dispatch counters. Both are read from the objects
+// that own them, so two live servers never share a series. DumpTrace()
+// returns the retained spans as Chrome trace JSON.
 
 #ifndef RPT_SERVE_ROUTED_SERVER_H_
 #define RPT_SERVE_ROUTED_SERVER_H_
@@ -56,7 +58,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "serve/model_session.h"
 #include "serve/shard.h"
 #include "util/hash.h"
@@ -157,8 +158,8 @@ class RoutedServer {
   /// Renders Stats() and prints to stdout.
   void PrintStats() const;
 
-  /// Prometheus text exposition of the process-wide metrics registry
-  /// (includes this server's per-shard series).
+  /// Prometheus text exposition of the process-wide metrics registry plus
+  /// this server's shard and dispatch series (see the header comment).
   std::string MetricsText() const;
 
   /// Chrome trace_event JSON of the spans retained by the global tracer.
@@ -192,9 +193,6 @@ class RoutedServer {
   std::unordered_map<std::string, size_t> index_;  // name -> routes_ index
   std::atomic<uint64_t> unknown_route_{0};
   std::atomic<uint64_t> fallbacks_{0};
-  // Registry mirrors of the two dispatch counters (obs/metrics.h).
-  obs::Counter* unknown_route_metric_;
-  obs::Counter* fallback_metric_;
 };
 
 }  // namespace rpt

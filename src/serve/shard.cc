@@ -35,128 +35,11 @@ void RecordSpan(const char* name, uint64_t trace_id, uint64_t span_id,
                               obs::CurrentThreadId(), link_trace, link_span});
 }
 
-}  // namespace
-
-// Metrics-registry handles for one shard, resolved once at construction so
-// the Submit/CompleteBatch hot paths touch only atomics. The registry
-// counters mirror the ServerStatsSnapshot fields, with one monotonicity
-// change: a coalesced duplicate increments `cache_hits` without ever
-// decrementing a miss — the registry exposes `cache_lookups` instead of
-// misses, so every series stays a proper Prometheus counter.
-struct ServeShard::Obs {
-  obs::Counter* submitted;
-  obs::Counter* completed;
-  obs::Counter* rejected_queue_full;
-  obs::Counter* rejected_shutdown;
-  obs::Counter* expired;
-  obs::Counter* invalid;
-  obs::Counter* cache_lookups;
-  obs::Counter* cache_hits;
-  obs::Counter* coalesced;
-  obs::Counter* inflight_coalesced;
-  obs::Counter* neardup_hits;
-  obs::Counter* batches;
-  obs::Gauge* queue_depth;
-  obs::Gauge* arrival_rate;
-  obs::Gauge* effective_delay_us;
-  obs::Counter* adapt_adjust;
-  obs::Histogram* queue_wait_ms;
-  obs::Histogram* batch_rows;
-  obs::Histogram* execute_ms;
-  obs::Histogram* latency_ms;
-  obs::Histogram* arrival_interval_ms;
-
-  explicit Obs(const ServerConfig& config) {
-    obs::MetricsRegistry& reg = obs::GlobalMetrics();
-    const obs::Labels label = {{"server", config.name}};
-    submitted = reg.GetCounter("rpt_serve_submitted_total", label,
-                               "Requests submitted to the shard");
-    completed = reg.GetCounter("rpt_serve_completed_total", label,
-                               "Requests completed through the model path");
-    rejected_queue_full =
-        reg.GetCounter("rpt_serve_rejected_total",
-                       {{"server", config.name}, {"reason", "queue_full"}},
-                       "Requests rejected at submit time");
-    rejected_shutdown =
-        reg.GetCounter("rpt_serve_rejected_total",
-                       {{"server", config.name}, {"reason", "shutdown"}},
-                       "Requests rejected at submit time");
-    expired = reg.GetCounter("rpt_serve_expired_total", label,
-                             "Requests whose deadline passed while queued");
-    invalid = reg.GetCounter("rpt_serve_invalid_total", label,
-                             "Requests rejected by session Validate");
-    cache_lookups =
-        reg.GetCounter("rpt_serve_cache_lookups_total", label,
-                       "Response-cache lookup outcomes (hits + misses)");
-    cache_hits = reg.GetCounter(
-        "rpt_serve_cache_hits_total", label,
-        "Submit-time LRU hits plus in-batch coalesced duplicates");
-    coalesced =
-        reg.GetCounter("rpt_serve_coalesced_total", label,
-                       "Duplicates folded into one execution (in-batch "
-                       "plus in-flight joiners)");
-    inflight_coalesced = reg.GetCounter(
-        "rpt_serve_inflight_coalesced_total", label,
-        "Requests attached to an execution already queued or running");
-    neardup_hits = reg.GetCounter(
-        "rpt_serve_neardup_hits_total", label,
-        "Cache misses served from a SimHash near-duplicate entry");
-    batches = reg.GetCounter("rpt_serve_batches_total", label,
-                             "Model forward passes executed");
-    queue_depth = reg.GetGauge("rpt_serve_queue_depth", label,
-                               "Requests waiting in the shard queue");
-    arrival_rate =
-        reg.GetGauge("rpt_serve_arrival_rate_rps", label,
-                     "EWMA request arrival rate in requests per second, "
-                     "decayed by idle time");
-    effective_delay_us = reg.GetGauge(
-        "rpt_serve_effective_delay_us", label,
-        "Straggler window the collector is currently applying, in "
-        "microseconds (max_batch_delay under the fixed policy)");
-    adapt_adjust =
-        reg.GetCounter("rpt_serve_adapt_adjust_total", label,
-                       "Adaptive-batching decisions that changed the "
-                       "effective delay");
-    queue_wait_ms = reg.GetHistogram(
-        "rpt_serve_queue_wait_ms", label, obs::DefaultLatencyBucketsMs(),
-        "Time from enqueue to micro-batch pickup in milliseconds");
-    // One family, one bucket layout: the registry (correctly) aborts on a
-    // per-shard layout, so batch-row buckets span every plausible
-    // max_batch_size rather than following this shard's config.
-    batch_rows = reg.GetHistogram(
-        "rpt_serve_batch_rows", label, obs::PowerOfTwoBuckets(512),
-        "Unique rows per executed forward pass");
-    execute_ms = reg.GetHistogram(
-        "rpt_serve_execute_ms", label, obs::DefaultLatencyBucketsMs(),
-        "Model execution time per forward pass in milliseconds");
-    latency_ms = reg.GetHistogram(
-        "rpt_serve_latency_ms", label, obs::DefaultLatencyBucketsMs(),
-        "Submit-to-completion latency in milliseconds (all served paths)");
-    arrival_interval_ms = reg.GetHistogram(
-        "rpt_serve_arrival_interval_ms", label,
-        obs::DefaultLatencyBucketsMs(),
-        "Gap between consecutive submits in milliseconds");
-  }
-
-  /// Per-submit accounting: arrival interval histogram and the arrival-rate
-  /// gauge, refreshed with the estimator's *decayed* value so a quiet shard
-  /// stops reporting its last burst's rate. The queue-depth gauge is
-  /// deliberately not stamped here — cache hits and rejections never
-  /// enqueue, so depth is recorded only after a successful push (and by the
-  /// collector on pickup), keeping the gauge equal to queue_depth().
-  void OnSubmit(double interval_ms, double decayed_rate) {
-    if constexpr (!obs::kObsEnabled) return;
-    submitted->Increment();
-    if (interval_ms > 0) arrival_interval_ms->Observe(interval_ms);
-    arrival_rate->Set(decayed_rate);
-  }
-};
-
-std::future<ServeResponse> ReadyServeResponse(ServeResponse response) {
-  std::promise<ServeResponse> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
+Status ShutDownStatus() {
+  return Status::Unavailable("server is shut down, not accepting work");
 }
+
+}  // namespace
 
 std::string ServerStatsSnapshot::Render(const std::string& name) const {
   std::ostringstream out;
@@ -251,8 +134,7 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
       // Reservoir sampling seeded from the shard name: bounded memory with
       // run-reproducible sampling decisions.
       latencies_ms_(LatencyReservoir::kDefaultCapacity,
-                    Fnv1a64(config_.name)),
-      obs_(std::make_unique<Obs>(config_)) {
+                    Fnv1a64(config_.name)) {
   RPT_CHECK(session_ != nullptr);
   RPT_CHECK_GE(config_.max_batch_size, 1u);
   if (config_.exactness == Exactness::kNearDup && config_.cache_capacity > 0) {
@@ -273,8 +155,6 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
     controller_ = std::make_unique<AdaptiveBatchController>(adaptive, clock_,
                                                             &arrivals_);
   }
-  obs_->effective_delay_us->Set(
-      static_cast<double>(config_.max_batch_delay.count()));
   collector_ = std::thread([this] { CollectorLoop(); });
 }
 
@@ -296,51 +176,43 @@ std::future<ServeResponse> ServeShard::Submit(
 void ServeShard::SubmitAsync(std::string input, ServeCallback done,
                              std::chrono::milliseconds timeout) {
   RPT_CHECK(done != nullptr) << "SubmitAsync needs a completion callback";
-  const auto submitted_at = std::chrono::steady_clock::now();
+  Pending p;
+  p.done = std::move(done);
+  p.submitted = std::chrono::steady_clock::now();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   // Arrival accounting uses the decision clock so the controller and the
   // exported rate gauge see one consistent arrival process.
-  const auto arrival_at = clock_->Now();
-  const double interval_ms = arrivals_.OnArrival(arrival_at);
-  obs_->OnSubmit(interval_ms, arrivals_.RateAt(arrival_at));
+  const double interval_ms = arrivals_.OnArrival(clock_->Now());
+  if (interval_ms > 0) arrival_interval_ms_.Observe(interval_ms);
 
   // Trace stamp: inherit the caller's trace (RoutedServer::Submit opens
   // one), or start a fresh one for direct shard submissions. The root
-  // "serve.submit" span id is reserved now and recorded by whichever path
-  // completes the request.
+  // "serve.submit" span id is reserved now and recorded by Finish.
   obs::Tracer& tracer = obs::GlobalTracer();
-  const bool tracing = tracer.enabled();
-  uint64_t trace_id = 0;
-  uint64_t root_span = 0;
-  if (tracing) {
-    trace_id = obs::CurrentTraceContext().trace_id;
-    if (trace_id == 0) trace_id = tracer.NewTraceId();
-    root_span = tracer.NewSpanId();
+  if (tracer.enabled()) {
+    p.trace_id = obs::CurrentTraceContext().trace_id;
+    if (p.trace_id == 0) p.trace_id = tracer.NewTraceId();
+    p.root_span = tracer.NewSpanId();
   }
 
   if (!accepting_.load(std::memory_order_acquire)) {
-    shutdown_rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs_->rejected_shutdown->Increment();
     ServeResponse r;
-    r.status = Status::Unavailable("server is shut down, not accepting work");
-    if (tracing) {
-      RecordSpan("serve.submit", trace_id, root_span, 0, submitted_at,
-                 std::chrono::steady_clock::now());
-    }
-    done(std::move(r));
+    r.status = ShutDownStatus();
+    Finish(p, std::move(r), Outcome::kShutdownRejected,
+           std::chrono::steady_clock::now());
     return;
   }
   // Dedup identity: exact payload under kStrict, normalized payload
   // otherwise (empty key means "same as input", avoiding the copy on the
   // strict hot path and whenever normalization is the identity).
-  std::string key;
   if (config_.exactness != Exactness::kStrict) {
-    key = NormalizeForDedup(input, config_.normalize);
-    if (key == input) key.clear();
+    p.key = NormalizeForDedup(input, config_.normalize);
+    if (p.key == input) p.key.clear();
   }
-  const std::string& lookup_key = key.empty() ? input : key;
+  p.input = std::move(input);
 
   if (config_.cache_capacity > 0) {
+    const std::string& lookup_key = p.key.empty() ? p.input : p.key;
     auto hit = cache_.Get(lookup_key);
     bool near_dup = false;
     if (!hit && neardup_index_ != nullptr) {
@@ -360,43 +232,27 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
       }
     }
     const auto looked_up = std::chrono::steady_clock::now();
-    if (tracing) {
-      RecordSpan("serve.cache_lookup", trace_id, tracer.NewSpanId(), root_span,
-                 submitted_at, looked_up);
+    if (p.trace_id != 0) {
+      RecordSpan("serve.cache_lookup", p.trace_id, tracer.NewSpanId(),
+                 p.root_span, p.submitted, looked_up);
     }
     if (hit) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_->cache_lookups->Increment();
-      obs_->cache_hits->Increment();
-      if (near_dup) {
-        neardup_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs_->neardup_hits->Increment();
-      }
+      // The lookup is counted before Finish counts the hit, so a snapshot
+      // that reads hits first never sees more hits than lookups.
+      cache_lookups_.fetch_add(1, std::memory_order_relaxed);
+      if (near_dup) neardup_hits_.fetch_add(1, std::memory_order_relaxed);
       ServeResponse r;
       r.output = std::move(*hit);
       r.cache_hit = true;
-      r.latency_ms = ElapsedMs(submitted_at, looked_up);
-      obs_->latency_ms->Observe(r.latency_ms);
-      if (tracing) {
-        RecordSpan("serve.submit", trace_id, root_span, 0, submitted_at,
-                   looked_up);
-      }
-      done(std::move(r));
+      Finish(p, std::move(r), Outcome::kCacheHit, looked_up);
       return;
     }
   }
 
-  Pending p;
-  p.input = std::move(input);
-  p.key = std::move(key);
-  p.done = std::move(done);
-  p.enqueued = submitted_at;
   // milliseconds::max() means "no deadline"; adding it to now() would
   // overflow the steady_clock representation.
   p.has_deadline = timeout != std::chrono::milliseconds::max();
-  if (p.has_deadline) p.deadline = p.enqueued + timeout;
-  p.trace_id = tracing ? trace_id : 0;
-  p.root_span = root_span;
+  if (p.has_deadline) p.deadline = p.submitted + timeout;
 
   PushResult pushed;
   if (config_.inflight_coalescing) {
@@ -405,27 +261,19 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
     // mutex, never the reverse), so an entry in the map always has a live
     // representative behind it and a failed push never leaks an entry a
     // joiner could attach to.
-    std::unique_lock<std::mutex> lock(inflight_mu_);
-    const auto [it, inserted] =
-        inflight_.try_emplace(std::string(KeyOf(p)));
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    const auto [it, inserted] = inflight_.try_emplace(std::string(KeyOf(p)));
     if (!inserted) {
       // Coalesce: attach to the execution already queued or running.
       // Joiners inherit the in-flight result and never extend (or apply)
-      // a deadline of their own.
-      Joiner joiner;
-      joiner.done = std::move(p.done);
-      joiner.submitted = submitted_at;
-      joiner.trace_id = p.trace_id;
-      joiner.root_span = p.root_span;
-      it->second.push_back(std::move(joiner));
-      lock.unlock();
+      // a deadline of their own. Their counts land before the lock is
+      // released, i.e. before TakeJoiners can fold them: one lookup
+      // outcome per admitted request, its miss converted into a hit when
+      // the execution it rode completes.
+      it->second.push_back(std::move(p));  // the Request part of it
       inflight_coalesced_.fetch_add(1, std::memory_order_relaxed);
-      obs_->inflight_coalesced->Increment();
       if (config_.cache_capacity > 0) {
-        // One lookup outcome per admitted request: the joiner's miss is
-        // converted into a hit when the execution it rode completes.
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        obs_->cache_lookups->Increment();
+        cache_lookups_.fetch_add(1, std::memory_order_relaxed);
       }
       return;
     }
@@ -439,35 +287,43 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
     // Submit between the accepting_ check above and the push must surface
     // as a shutdown rejection, not be miscounted as backpressure. A failed
     // TryPush never moved `p`, so its callback is still ours to complete.
+    const bool closed = pushed == PushResult::kClosed;
     ServeResponse r;
-    if (pushed == PushResult::kClosed) {
-      shutdown_rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_->rejected_shutdown->Increment();
-      r.status =
-          Status::Unavailable("server is shut down, not accepting work");
-    } else {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_->rejected_queue_full->Increment();
-      r.status = Status::Unavailable("request queue is full");
-    }
-    if (tracing) {
-      RecordSpan("serve.submit", trace_id, root_span, 0, submitted_at,
-                 std::chrono::steady_clock::now());
-    }
-    p.done(std::move(r));
+    r.status = closed ? ShutDownStatus()
+                      : Status::Unavailable("request queue is full");
+    Finish(p, std::move(r),
+           closed ? Outcome::kShutdownRejected : Outcome::kRejected,
+           std::chrono::steady_clock::now());
     return;
   }
-  // The gauge is stamped only on the enqueue path (and by the collector on
-  // pickup), so it tracks queue_depth() instead of pre-push depths and
-  // never-enqueued cache hits or rejections.
-  obs_->queue_depth->Set(static_cast<double>(queue_.size()));
   // Counted only after the push succeeds: a rejected request never produces
   // a model execution, so it is not a lookup outcome and must not inflate
   // the hit-rate denominator under backpressure.
   if (config_.cache_capacity > 0) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    obs_->cache_lookups->Increment();
+    cache_lookups_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void ServeShard::Finish(const Request& request, ServeResponse response,
+                        Outcome outcome,
+                        std::chrono::steady_clock::time_point at) {
+  response.latency_ms = ElapsedMs(request.submitted, at);
+  // Release pairs with Count()'s acquire: a snapshot that sees this
+  // outcome also sees the lookup counted before it.
+  std::atomic<uint64_t>& counter = outcomes_[static_cast<size_t>(outcome)];
+  counter.fetch_add(1, std::memory_order_release);
+  if (outcome != Outcome::kRejected && outcome != Outcome::kShutdownRejected) {
+    latency_ms_.Observe(response.latency_ms);
+  }
+  if (outcome == Outcome::kCompleted) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    latencies_ms_.Add(response.latency_ms);
+  }
+  if (request.trace_id != 0) {
+    RecordSpan("serve.submit", request.trace_id, request.root_span, 0,
+               request.submitted, at);
+  }
+  request.done(std::move(response));
 }
 
 void ServeShard::CollectorLoop() {
@@ -481,9 +337,6 @@ void ServeShard::CollectorLoop() {
   // configured backend; other threads are unaffected.
   ScopedComputeBackend backend_scope(config_.compute_backend);
   std::vector<Pending> batch;
-  // Mirrors of the controller's decision state, collector-local so the
-  // registry counter only moves when the effective window actually changed.
-  uint64_t adjustments_seen = 0;
   for (;;) {
     batch.clear();
     bool alive;
@@ -491,20 +344,11 @@ void ServeShard::CollectorLoop() {
       // The window is decided once the first request of the batch is in
       // hand (not before blocking), so the decision sees the arrival rate
       // and queue depth of the batch actually forming. The callback runs
-      // under the queue lock and touches only the controller + atomics.
-      alive = queue_.PopBatchWith(
-          &batch, config_.max_batch_size, [&](size_t pending) {
-            const std::chrono::microseconds delay =
-                controller_->DecideDelay(pending);
-            obs_->effective_delay_us->Set(
-                static_cast<double>(delay.count()));
-            const uint64_t adjustments = controller_->adjustments();
-            if (adjustments != adjustments_seen) {
-              obs_->adapt_adjust->Increment(adjustments - adjustments_seen);
-              adjustments_seen = adjustments;
-            }
-            return delay;
-          });
+      // under the queue lock and touches only the controller.
+      const auto decide = [this](size_t pending) {
+        return controller_->DecideDelay(pending);
+      };
+      alive = queue_.PopBatchWith(&batch, config_.max_batch_size, decide);
     } else {
       alive = queue_.PopBatch(&batch, config_.max_batch_size,
                               config_.max_batch_delay);
@@ -519,250 +363,188 @@ void ServeShard::CollectorLoop() {
 void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
   const auto now = std::chrono::steady_clock::now();
   obs::Tracer& tracer = obs::GlobalTracer();
-  const bool tracing = tracer.enabled();
-  obs_->queue_depth->Set(static_cast<double>(queue_.size()));
   std::vector<Pending*> live;
   live.reserve(batch->size());
-  uint64_t newly_expired = 0;
-  uint64_t newly_invalid = 0;
   double max_queue_wait_ms = 0;
   for (Pending& p : *batch) {
     // Every popped request waited enqueue -> pickup, whatever its fate.
-    const double wait_ms = ElapsedMs(p.enqueued, now);
+    const double wait_ms = ElapsedMs(p.submitted, now);
     max_queue_wait_ms = std::max(max_queue_wait_ms, wait_ms);
-    obs_->queue_wait_ms->Observe(wait_ms);
-    if (tracing && p.trace_id != 0) {
+    queue_wait_ms_.Observe(wait_ms);
+    if (p.trace_id != 0) {
       RecordSpan("serve.queue_wait", p.trace_id, tracer.NewSpanId(),
-                 p.root_span, p.enqueued, now);
+                 p.root_span, p.submitted, now);
     }
+    // An expired request fails here without reaching the model. So does a
+    // payload the session's Validate rejects: validation runs on the single
+    // scheduler thread, so a malformed or over-long payload fails its own
+    // request instead of tripping a model-side check that would abort the
+    // process.
+    ServeResponse failed;
+    Outcome outcome;
     if (p.has_deadline && p.deadline < now) {
-      // Joiners share the representative's fate: its deadline governed the
-      // execution they attached to, so they inherit the expiry rather than
-      // re-enqueuing a pass the representative was not allowed to wait for.
-      std::vector<Joiner> joiners = TakeJoiners(KeyOf(p));
-      ServeResponse r;
-      r.status = Status::DeadlineExceeded(
+      failed.status = Status::DeadlineExceeded(
           "deadline passed while the request was queued");
-      r.latency_ms = ElapsedMs(p.enqueued, now);
-      newly_expired += 1 + joiners.size();
-      obs_->expired->Increment(1 + joiners.size());
-      CompleteJoiners(std::move(joiners), r, now, 0, 0);
-      p.done(std::move(r));
-      if (tracing && p.trace_id != 0) {
-        RecordSpan("serve.submit", p.trace_id, p.root_span, 0, p.enqueued,
-                   now);
+      outcome = Outcome::kExpired;
+    } else {
+      failed.status = session_->Validate(p.input);
+      if (failed.status.ok()) {
+        live.push_back(&p);
+        continue;
       }
-      continue;
+      outcome = Outcome::kInvalid;
     }
-    // Session-level validation runs here, on the single scheduler thread,
-    // so a malformed or over-long payload fails its own request instead of
-    // tripping a model-side check that would abort the process.
-    if (Status valid = session_->Validate(p.input); !valid.ok()) {
-      // Joiners matched this payload's dedup key, so the validation
-      // verdict applies to them as well (under normalized keying they may
-      // differ in surface form only, which Validate ignores by intent).
-      std::vector<Joiner> joiners = TakeJoiners(KeyOf(p));
-      ServeResponse r;
-      r.status = std::move(valid);
-      r.latency_ms = ElapsedMs(p.enqueued, now);
-      newly_invalid += 1 + joiners.size();
-      obs_->invalid->Increment(1 + joiners.size());
-      CompleteJoiners(std::move(joiners), r, now, 0, 0);
-      p.done(std::move(r));
-      if (tracing && p.trace_id != 0) {
-        RecordSpan("serve.submit", p.trace_id, p.root_span, 0, p.enqueued,
-                   now);
-      }
-      continue;
-    }
-    live.push_back(&p);
+    // Joiners share the representative's fate: its deadline governed the
+    // execution they attached to, and they matched its dedup key, so the
+    // validation verdict applies to them as well (under normalized keying
+    // they may differ in surface form only, which Validate ignores by
+    // intent).
+    CompleteJoiners(TakeJoiners(KeyOf(p)), failed, outcome, now, 0, 0);
+    Finish(p, std::move(failed), outcome, now);
   }
   if (controller_ != nullptr) {
     // Close the loop: the observed high queue wait is the signal the
     // budget clamp reacts to on the next decision.
     controller_->OnBatchComplete(max_queue_wait_ms, live.size());
   }
+  if (live.empty()) return;
 
-  if (!live.empty()) {
-    // Within-batch coalescing: payloads with one dedup key ride one model
-    // execution and the single output fans out to every duplicate's
-    // promise. (With in-flight coalescing on, duplicates normally attach
-    // upstream and never co-occupy a batch; this stays as the guarantee
-    // for the coalescing-off configuration and as defense in depth.)
-    std::vector<std::string> inputs;       // unique payloads, first-seen order
-    std::vector<size_t> slot(live.size());  // live index -> inputs index
-    std::vector<bool> is_dupe(live.size(), false);
-    std::vector<const Pending*> slot_rep;  // first-seen request per slot
-    std::unordered_map<std::string_view, size_t> first_seen;
-    first_seen.reserve(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      const auto [it, inserted] =
-          first_seen.try_emplace(KeyOf(*live[i]), inputs.size());
-      if (inserted) {
-        inputs.push_back(live[i]->input);
-        slot_rep.push_back(live[i]);
-      } else {
-        is_dupe[i] = true;
-      }
-      slot[i] = it->second;
+  // Within-batch coalescing: payloads with one dedup key ride one model
+  // execution and the single output fans out to every duplicate's
+  // callback. (With in-flight coalescing on, duplicates normally attach
+  // upstream and never co-occupy a batch; this stays as the guarantee for
+  // the coalescing-off configuration and as defense in depth.)
+  std::vector<std::string> inputs;        // unique payloads, first-seen order
+  std::vector<size_t> slot(live.size());  // live index -> inputs index
+  std::vector<bool> is_dupe(live.size(), false);
+  std::vector<const Pending*> slot_rep;  // first-seen request per slot
+  std::unordered_map<std::string_view, size_t> first_seen;
+  first_seen.reserve(live.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    const auto [it, inserted] =
+        first_seen.try_emplace(KeyOf(*live[i]), inputs.size());
+    if (inserted) {
+      inputs.push_back(live[i]->input);
+      slot_rep.push_back(live[i]);
+    } else {
+      is_dupe[i] = true;
     }
-    const uint64_t newly_coalesced = live.size() - inputs.size();
+    slot[i] = it->second;
+  }
 
-    // The collector runs the pass under the first live request's execute-
-    // span context, so model-layer stage spans (encode, prefill, decode
-    // steps — profile/perf_hooks.h via obs/stage_exporter.h) nest inside
-    // one representative request's trace.
-    uint64_t rep_exec_span = 0;
-    if (tracing && live[0]->trace_id != 0) {
-      rep_exec_span = tracer.NewSpanId();
-    }
-    const auto run_begin = std::chrono::steady_clock::now();
-    std::vector<std::string> outputs;
-    {
-      obs::ScopedTraceContext rep_context(
-          {rep_exec_span != 0 ? live[0]->trace_id : 0, rep_exec_span});
-      outputs = session_->RunBatch(inputs);
-    }
-    RPT_CHECK_EQ(outputs.size(), inputs.size())
-        << "session returned a mismatched batch";
-    const auto done = std::chrono::steady_clock::now();
-    obs_->execute_ms->Observe(ElapsedMs(run_begin, done));
-    obs_->batch_rows->Observe(static_cast<double>(inputs.size()));
-    obs_->batches->Increment();
-    // The cache is populated under each slot's dedup key *before* its
-    // in-flight entry is resolved: a concurrent submit either attaches to
-    // the entry (and is completed below) or, once the entry is gone, finds
-    // the response already cached — no window re-runs the pass.
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      const std::string slot_key(KeyOf(*slot_rep[j]));
-      cache_.Put(slot_key, outputs[j]);
-      if (neardup_index_ != nullptr) {
-        const SimHash128 signature = ComputeSimHash(slot_key);
-        std::lock_guard<std::mutex> lock(neardup_mu_);
-        neardup_index_->Add(signature, slot_key);
-      }
-    }
-    std::vector<std::vector<Joiner>> slot_joiners(inputs.size());
-    size_t joiner_count = 0;
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      slot_joiners[j] = TakeJoiners(KeyOf(*slot_rep[j]));
-      joiner_count += slot_joiners[j].size();
-    }
-    obs_->completed->Increment(live.size() + joiner_count);
-    std::vector<double> lats;
-    lats.reserve(live.size() + joiner_count);
-    // First execute-span id per unique payload: coalesced duplicates carry
-    // a follows-from link to the execution they actually rode, which lives
-    // in the representative request's trace.
-    std::vector<uint64_t> slot_exec_trace(inputs.size(), 0);
-    std::vector<uint64_t> slot_exec_span(inputs.size(), 0);
-    for (size_t i = 0; i < live.size(); ++i) {
-      ServeResponse r;
-      r.output = outputs[slot[i]];
-      r.latency_ms = ElapsedMs(live[i]->enqueued, done);
-      r.batch_size = static_cast<int64_t>(inputs.size());
-      r.cache_hit = is_dupe[i];
-      lats.push_back(r.latency_ms);
-      obs_->latency_ms->Observe(r.latency_ms);
-      live[i]->done(std::move(r));
-      if (tracing && live[i]->trace_id != 0) {
-        // Per-request view of the shared batch: formation (validation +
-        // coalescing), execution, and the submit->completion root.
-        RecordSpan("serve.batch", live[i]->trace_id, tracer.NewSpanId(),
-                   live[i]->root_span, now, run_begin);
-        const uint64_t exec_span =
-            (i == 0 && rep_exec_span != 0) ? rep_exec_span
-                                           : tracer.NewSpanId();
-        if (!is_dupe[i]) {
-          slot_exec_trace[slot[i]] = live[i]->trace_id;
-          slot_exec_span[slot[i]] = exec_span;
-          RecordSpan("serve.execute", live[i]->trace_id, exec_span,
-                     live[i]->root_span, run_begin, done);
-        } else {
-          RecordSpan("serve.execute", live[i]->trace_id, exec_span,
-                     live[i]->root_span, run_begin, done,
-                     slot_exec_trace[slot[i]], slot_exec_span[slot[i]]);
-        }
-        RecordSpan("serve.submit", live[i]->trace_id, live[i]->root_span, 0,
-                   live[i]->enqueued, done);
-      }
-    }
-    // In-flight joiners: the cross-batch counterpart of the fan-out above.
-    // Each joiner gets a copy of its slot's output and a follows-from link
-    // to the execution span it rode (recorded in the representative's
-    // trace, possibly batches ago from the joiner's point of view).
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      if (slot_joiners[j].empty()) continue;
-      ServeResponse base;
-      base.output = outputs[j];
-      base.batch_size = static_cast<int64_t>(inputs.size());
-      base.cache_hit = true;
-      CompleteJoiners(std::move(slot_joiners[j]), base, done,
-                      slot_exec_trace[j], slot_exec_span[j], &lats);
-    }
-    const uint64_t folded = newly_coalesced + joiner_count;
-    if (folded > 0 && config_.cache_capacity > 0) {
-      // A duplicate's submit-time miss becomes a hit on the result it
-      // rode (batch-mate or in-flight execution), keeping hits + misses
-      // == one lookup outcome per admitted request. The registry's
-      // cache_hits counter gets the same credit; its lookup was already
-      // counted at submit time.
-      cache_hits_.fetch_add(folded, std::memory_order_relaxed);
-      cache_misses_.fetch_sub(folded, std::memory_order_relaxed);
-      obs_->cache_hits->Increment(folded);
-    }
-    obs_->coalesced->Increment(folded);
+  // The collector runs the pass under the first live request's execute-
+  // span context, so model-layer stage spans (encode, prefill, decode
+  // steps — profile/perf_hooks.h via obs/stage_exporter.h) nest inside
+  // one representative request's trace.
+  const uint64_t rep_exec_span =
+      live[0]->trace_id != 0 ? tracer.NewSpanId() : 0;
+  const auto run_begin = std::chrono::steady_clock::now();
+  std::vector<std::string> outputs;
+  {
+    obs::ScopedTraceContext rep_context({live[0]->trace_id, rep_exec_span});
+    outputs = session_->RunBatch(inputs);
+  }
+  RPT_CHECK_EQ(outputs.size(), inputs.size())
+      << "session returned a mismatched batch";
+  const auto done = std::chrono::steady_clock::now();
+  execute_ms_.Observe(ElapsedMs(run_begin, done));
+  {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    completed_ += live.size() + joiner_count;
-    expired_ += newly_expired;
-    invalid_ += newly_invalid;
-    coalesced_ += folded;
-    ++batches_;
     ++batch_hist_[inputs.size()];
-    for (const double lat : lats) latencies_ms_.Add(lat);
-  } else if (newly_expired > 0 || newly_invalid > 0) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    expired_ += newly_expired;
-    invalid_ += newly_invalid;
+  }
+  // The cache is populated under each slot's dedup key *before* its
+  // in-flight entry is resolved: a concurrent submit either attaches to
+  // the entry (and is completed below) or, once the entry is gone, finds
+  // the response already cached — no window re-runs the pass.
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const std::string slot_key(KeyOf(*slot_rep[j]));
+    cache_.Put(slot_key, outputs[j]);
+    if (neardup_index_ != nullptr) {
+      const SimHash128 signature = ComputeSimHash(slot_key);
+      std::lock_guard<std::mutex> lock(neardup_mu_);
+      neardup_index_->Add(signature, slot_key);
+    }
+  }
+  std::vector<std::vector<Request>> slot_joiners(inputs.size());
+  uint64_t folded = live.size() - inputs.size();
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    slot_joiners[j] = TakeJoiners(KeyOf(*slot_rep[j]));
+    folded += slot_joiners[j].size();
+  }
+  // Every duplicate (batch-mate or in-flight joiner) rode another
+  // request's execution; with the cache on its submit-time miss thereby
+  // becomes a hit (Stats() derives hits from this count), keeping hits +
+  // misses == one lookup outcome per admitted request. Release pairs with
+  // Stats()'s acquire, as for the outcome counters.
+  coalesced_.fetch_add(folded, std::memory_order_release);
+
+  // First execute-span id per unique payload: coalesced duplicates carry
+  // a follows-from link to the execution they actually rode, which lives
+  // in the representative request's trace.
+  std::vector<uint64_t> slot_exec_trace(inputs.size(), 0);
+  std::vector<uint64_t> slot_exec_span(inputs.size(), 0);
+  for (size_t i = 0; i < live.size(); ++i) {
+    const Pending& p = *live[i];
+    if (p.trace_id != 0) {
+      // Per-request view of the shared batch: formation (validation +
+      // coalescing) and execution; Finish adds the submit->completion root.
+      RecordSpan("serve.batch", p.trace_id, tracer.NewSpanId(), p.root_span,
+                 now, run_begin);
+      const uint64_t exec_span = i == 0 ? rep_exec_span : tracer.NewSpanId();
+      if (!is_dupe[i]) {
+        slot_exec_trace[slot[i]] = p.trace_id;
+        slot_exec_span[slot[i]] = exec_span;
+      }
+      RecordSpan("serve.execute", p.trace_id, exec_span, p.root_span,
+                 run_begin, done, is_dupe[i] ? slot_exec_trace[slot[i]] : 0,
+                 is_dupe[i] ? slot_exec_span[slot[i]] : 0);
+    }
+    ServeResponse r;
+    r.output = outputs[slot[i]];
+    r.batch_size = static_cast<int64_t>(inputs.size());
+    r.cache_hit = is_dupe[i];
+    Finish(p, std::move(r), Outcome::kCompleted, done);
+  }
+  // In-flight joiners: the cross-batch counterpart of the fan-out above.
+  // Each joiner gets a copy of its slot's output and a follows-from link
+  // to the execution span it rode (recorded in the representative's
+  // trace, possibly batches ago from the joiner's point of view).
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    if (slot_joiners[j].empty()) continue;
+    ServeResponse base;
+    base.output = outputs[j];
+    base.batch_size = static_cast<int64_t>(inputs.size());
+    base.cache_hit = true;
+    CompleteJoiners(std::move(slot_joiners[j]), base, Outcome::kCompleted,
+                    done, slot_exec_trace[j], slot_exec_span[j]);
   }
 }
 
-std::vector<ServeShard::Joiner> ServeShard::TakeJoiners(std::string_view key) {
+std::vector<ServeShard::Request> ServeShard::TakeJoiners(std::string_view key) {
   if (!config_.inflight_coalescing) return {};
   std::lock_guard<std::mutex> lock(inflight_mu_);
   const auto it = inflight_.find(std::string(key));
   if (it == inflight_.end()) return {};
-  std::vector<Joiner> joiners = std::move(it->second);
+  std::vector<Request> joiners = std::move(it->second);
   inflight_.erase(it);
   return joiners;
 }
 
-void ServeShard::CompleteJoiners(std::vector<Joiner> joiners,
-                                 const ServeResponse& base,
+void ServeShard::CompleteJoiners(std::vector<Request> joiners,
+                                 const ServeResponse& base, Outcome outcome,
                                  std::chrono::steady_clock::time_point done_at,
-                                 uint64_t exec_trace, uint64_t exec_span,
-                                 std::vector<double>* lats_out) {
-  if (joiners.empty()) return;
+                                 uint64_t exec_trace, uint64_t exec_span) {
   obs::Tracer& tracer = obs::GlobalTracer();
-  const bool tracing = tracer.enabled();
-  for (Joiner& joiner : joiners) {
-    ServeResponse r = base;
-    r.latency_ms = ElapsedMs(joiner.submitted, done_at);
-    if (lats_out != nullptr) lats_out->push_back(r.latency_ms);
-    obs_->latency_ms->Observe(r.latency_ms);
-    if (tracing && joiner.trace_id != 0) {
+  for (const Request& joiner : joiners) {
+    if (joiner.trace_id != 0 && exec_span != 0) {
       // Cross-batch follows-from: the joiner's own trace shows the window
       // it spent attached, with an arrow to the execution (in the
       // representative's trace) that actually produced its bytes.
-      if (exec_span != 0) {
-        RecordSpan("serve.execute", joiner.trace_id, tracer.NewSpanId(),
-                   joiner.root_span, joiner.submitted, done_at, exec_trace,
-                   exec_span);
-      }
-      RecordSpan("serve.submit", joiner.trace_id, joiner.root_span, 0,
-                 joiner.submitted, done_at);
+      RecordSpan("serve.execute", joiner.trace_id, tracer.NewSpanId(),
+                 joiner.root_span, joiner.submitted, done_at, exec_trace,
+                 exec_span);
     }
-    joiner.done(std::move(r));
+    Finish(joiner, base, outcome, done_at);
   }
 }
 
@@ -777,46 +559,116 @@ void ServeShard::Shutdown() {
 ServerStatsSnapshot ServeShard::Stats() const {
   ServerStatsSnapshot s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shutdown_rejected = shutdown_rejected_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
+  s.completed = Count(Outcome::kCompleted);
+  s.rejected = Count(Outcome::kRejected);
+  s.shutdown_rejected = Count(Outcome::kShutdownRejected);
+  s.expired = Count(Outcome::kExpired);
+  s.invalid = Count(Outcome::kInvalid);
+  s.coalesced = coalesced_.load(std::memory_order_acquire);
   s.inflight_coalesced = inflight_coalesced_.load(std::memory_order_relaxed);
   s.neardup_hits = neardup_hits_.load(std::memory_order_relaxed);
+  // Hits are read before lookups, and a hit's lookup is counted before the
+  // hit, so lookups >= hits. The one exception is a batch-mate duplicate
+  // with inflight_coalescing off: its submit thread counts the lookup just
+  // after its push, and the collector may fold it first — hence the clamp.
+  s.cache_hits = Count(Outcome::kCacheHit) +
+                 (config_.cache_capacity > 0 ? s.coalesced : 0);
+  const uint64_t lookups = cache_lookups_.load(std::memory_order_relaxed);
+  s.cache_misses = lookups > s.cache_hits ? lookups - s.cache_hits : 0;
   s.queue_depth = queue_.size();
-  const uint64_t lookups = s.cache_hits + s.cache_misses;
-  if (lookups > 0) {
-    s.cache_hit_rate =
-        static_cast<double>(s.cache_hits) / static_cast<double>(lookups);
-  }
-  s.adapt_adjustments =
-      controller_ != nullptr ? controller_->adjustments() : 0;
+  s.adapt_adjustments = controller_ != nullptr ? controller_->adjustments() : 0;
   std::vector<double> lats;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    s.completed = completed_;
-    s.expired = expired_;
-    s.invalid = invalid_;
-    s.coalesced = coalesced_;
-    s.batches = batches_;
     s.batch_size_histogram = batch_hist_;
     lats = latencies_ms_.samples();
   }
-  uint64_t pass_rows = 0;
+  for (const auto& [size, count] : s.batch_size_histogram) s.batches += count;
+  // A single shard aggregates to itself: the shared helper derives the hit
+  // rate, mean batch size and percentiles.
+  return AggregateStats({s}, lats);
+}
+
+void ServeShard::AppendMetrics(std::vector<obs::MetricSnapshot>* out) const {
+  const ServerStatsSnapshot s = Stats();
+  const obs::Labels server = {{"server", config_.name}};
+  constexpr obs::MetricKind kCounter = obs::MetricKind::kCounter;
+  constexpr obs::MetricKind kGauge = obs::MetricKind::kGauge;
+  const auto add = [&](obs::MetricKind kind, const char* name, double value,
+                       const char* help) {
+    out->push_back(obs::ValueSnapshot(name, kind, help, server, value));
+  };
+  const auto histogram = [&](const char* name, const obs::Histogram& h,
+                             const char* help) {
+    out->push_back(obs::HistogramSnapshot(name, help, server, h));
+  };
+
+  add(kCounter, "rpt_serve_submitted_total", s.submitted,
+      "Requests submitted to the shard");
+  add(kCounter, "rpt_serve_completed_total", s.completed,
+      "Requests completed through the model path");
+  const char* rejected_help = "Requests rejected at submit time";
+  add(kCounter, "rpt_serve_rejected_total", s.rejected, rejected_help);
+  out->back().labels["reason"] = "queue_full";
+  add(kCounter, "rpt_serve_rejected_total", s.shutdown_rejected, rejected_help);
+  out->back().labels["reason"] = "shutdown";
+  add(kCounter, "rpt_serve_expired_total", s.expired,
+      "Requests whose deadline passed while queued");
+  add(kCounter, "rpt_serve_invalid_total", s.invalid,
+      "Requests rejected by session Validate");
+  // Lookups rather than misses: a coalesced duplicate upgrades its miss to
+  // a hit, and a Prometheus counter must never decrement.
+  add(kCounter, "rpt_serve_cache_lookups_total", s.cache_hits + s.cache_misses,
+      "Response-cache lookup outcomes (hits + misses)");
+  add(kCounter, "rpt_serve_cache_hits_total", s.cache_hits,
+      "Submit-time LRU hits plus in-batch coalesced duplicates");
+  add(kCounter, "rpt_serve_coalesced_total", s.coalesced,
+      "Duplicates folded into one execution (in-batch plus in-flight "
+      "joiners)");
+  add(kCounter, "rpt_serve_inflight_coalesced_total", s.inflight_coalesced,
+      "Requests attached to an execution already queued or running");
+  add(kCounter, "rpt_serve_neardup_hits_total", s.neardup_hits,
+      "Cache misses served from a SimHash near-duplicate entry");
+  add(kCounter, "rpt_serve_batches_total", s.batches,
+      "Model forward passes executed");
+  add(kCounter, "rpt_serve_adapt_adjust_total", s.adapt_adjustments,
+      "Adaptive-batching decisions that changed the effective delay");
+  add(kGauge, "rpt_serve_queue_depth", s.queue_depth,
+      "Requests waiting in the shard queue");
+  add(kGauge, "rpt_serve_arrival_rate_rps", arrivals_.RateAt(clock_->Now()),
+      "EWMA request arrival rate in requests per second, decayed by idle "
+      "time");
+  add(kGauge, "rpt_serve_effective_delay_us", effective_batch_delay().count(),
+      "Straggler window the collector is currently applying, in "
+      "microseconds (max_batch_delay under the fixed policy)");
+  histogram("rpt_serve_queue_wait_ms", queue_wait_ms_,
+            "Time from enqueue to micro-batch pickup in milliseconds");
+  histogram("rpt_serve_execute_ms", execute_ms_,
+            "Model execution time per forward pass in milliseconds");
+  histogram("rpt_serve_latency_ms", latency_ms_,
+            "Submit-to-completion latency in milliseconds (all served paths)");
+  histogram("rpt_serve_arrival_interval_ms", arrival_interval_ms_,
+            "Gap between consecutive submits in milliseconds");
+
+  // Batch rows are built from the exact map. One bucket layout spans every
+  // plausible max_batch_size, so the family has one layout across shards.
+  obs::MetricSnapshot rows;
+  rows.name = "rpt_serve_batch_rows";
+  rows.kind = obs::MetricKind::kHistogram;
+  rows.help = "Unique rows per executed forward pass";
+  rows.labels = server;
+  rows.bounds = obs::PowerOfTwoBuckets(512);
+  rows.buckets.assign(rows.bounds.size() + 1, 0);  // +Inf last
   for (const auto& [size, count] : s.batch_size_histogram) {
-    pass_rows += size * count;
+    size_t bucket = 0;
+    while (bucket < rows.bounds.size() && rows.bounds[bucket] < size) {
+      ++bucket;
+    }
+    rows.buckets[bucket] += count;
+    rows.count += count;
+    rows.sum += static_cast<double>(size * count);
   }
-  if (s.batches > 0) {
-    s.mean_batch_size =
-        static_cast<double>(pass_rows) / static_cast<double>(s.batches);
-  }
-  if (!lats.empty()) {
-    s.p50_ms = Percentile(lats, 50);
-    s.p95_ms = Percentile(lats, 95);
-    s.p99_ms = Percentile(lats, 99);
-    s.max_ms = *std::max_element(lats.begin(), lats.end());
-  }
-  return s;
+  out->push_back(std::move(rows));
 }
 
 std::vector<double> ServeShard::RawLatencies() const {

@@ -1,19 +1,17 @@
-// ServeShard: the queue/collector/cache/stats core of the serving layer.
+// ServeShard: the one server type of the serving layer.
 //
 // One shard owns one ModelSession, one bounded request queue, one collector
 // thread that drains the queue into dynamic micro-batches, one LRU response
-// cache, and one set of counters. It is the unit both serving front-ends are
-// built from: InferenceServer (serve/server.h) is exactly one shard behind
-// the original single-session API, and RoutedServer (serve/routed_server.h)
-// fans requests out over named pools of shards.
+// cache, and one accounting record. Used alone it is a single-session
+// server; RoutedServer (serve/routed_server.h) fans requests out over named
+// pools of shards.
 //
-// Scheduling semantics (unchanged from the original InferenceServer):
-// micro-batches gather up to `max_batch_size` requests, waiting at most
-// `max_batch_delay` for stragglers; a full queue rejects at Submit with
-// kUnavailable; a request whose deadline passes while queued completes with
-// kDeadlineExceeded; payloads the session's Validate rejects complete with
-// that status; Shutdown() stops intake, drains everything accepted, and
-// joins the collector.
+// Scheduling semantics: micro-batches gather up to `max_batch_size`
+// requests, waiting at most `max_batch_delay` for stragglers; a full queue
+// rejects at Submit with kUnavailable; a request whose deadline passes
+// while queued completes with kDeadlineExceeded; payloads the session's
+// Validate rejects complete with that status; Shutdown() stops intake,
+// drains everything accepted, and joins the collector.
 //
 // With `batch_policy = kAdaptive` the straggler window is no longer the
 // fixed `max_batch_delay`: an AdaptiveBatchController (serve/adaptive.h)
@@ -23,14 +21,24 @@
 // `target_queue_wait_ms` budget. Outputs are unaffected — the policy only
 // moves *when* a batch closes, never what the model computes.
 //
-// Accounting rules the counters obey:
+// Accounting: the shard keeps one record per quantity — counters as shard
+// atomics (they count in every build, -DRPT_OBS_OFF included), batch sizes
+// in an exact map, Stats() latencies in a seeded reservoir, and the queue-
+// wait / execute / latency / arrival-interval distributions as
+// obs::Histograms. Stats() and AppendMetrics() (this shard's Prometheus
+// series) both read that record; nothing is mirrored. Every request, from
+// a submit-time rejection to a model-path answer, completes through one
+// private Finish, which stamps its latency, bumps its outcome's counter,
+// and records its root span. The rules the counters obey:
 //  * a cache miss is counted only once the request is actually enqueued —
 //    a queue-full rejection is not a lookup outcome, so backpressure cannot
 //    deflate the hit rate;
 //  * post-shutdown submissions are `shutdown_rejected`, distinct from the
 //    queue-full `rejected`;
-//  * cache-hit responses carry the submit→return latency, so client-side
-//    latency accounting is consistent across hit and miss paths;
+//  * every response carries the submit→completion latency, cache hits
+//    included, so client-side latency accounting is consistent across hit
+//    and miss paths; the latency histogram sees every admitted request,
+//    the Stats() reservoir only Ok model-path answers;
 //  * identical payloads inside one micro-batch are coalesced into a single
 //    model execution whose output fans out to every duplicate. Duplicates
 //    count as `coalesced` and (when the cache is enabled) convert their
@@ -70,6 +78,7 @@
 #ifndef RPT_SERVE_SHARD_H_
 #define RPT_SERVE_SHARD_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -85,6 +94,7 @@
 #include <vector>
 
 #include "nn/backend.h"
+#include "obs/metrics.h"
 #include "serve/adaptive.h"
 #include "serve/lru_cache.h"
 #include "serve/model_session.h"
@@ -134,8 +144,8 @@ struct ServerConfig {
   size_t queue_capacity = 256;
   /// LRU response-cache entries keyed on the payload; 0 disables caching.
   size_t cache_capacity = 1024;
-  /// Value of the `server` label on this shard's metrics registry series
-  /// (obs/metrics.h). RoutedServer names its shards "<route>#<index>".
+  /// Value of the `server` label on this shard's series (AppendMetrics).
+  /// RoutedServer names its shards "<route>#<index>".
   std::string name = "serve";
   /// Straggler-window policy. kFixed preserves pre-adaptive scheduling
   /// byte for byte.
@@ -228,9 +238,6 @@ ServerStatsSnapshot AggregateStats(
     const std::vector<ServerStatsSnapshot>& parts,
     const std::vector<double>& latencies_ms);
 
-/// An already-completed future, for responses decided at submit time.
-std::future<ServeResponse> ReadyServeResponse(ServeResponse response);
-
 /// Completion continuation of one asynchronously submitted request.
 ///
 /// Threading contract: responses decided at submit time — cache hits,
@@ -277,6 +284,11 @@ class ServeShard {
 
   ServerStatsSnapshot Stats() const;
 
+  /// Appends this shard's Prometheus series (the rpt_serve_* families,
+  /// labelled server=config().name) to `out`, read from the same record as
+  /// Stats(). RoutedServer::MetricsText renders them.
+  void AppendMetrics(std::vector<obs::MetricSnapshot>* out) const;
+
   /// Copy of the model-path latency reservoir sample (at most
   /// LatencyReservoir::kDefaultCapacity entries however long the shard has
   /// lived), for cross-shard percentile aggregation.
@@ -291,58 +303,72 @@ class ServeShard {
   size_t queue_depth() const { return queue_.size(); }
 
   const ServerConfig& config() const { return config_; }
-  const std::shared_ptr<ModelSession>& session() const { return session_; }
 
  private:
-  struct Pending {
+  /// What completing a request takes: its callback, its submit time, and
+  /// its trace stamp. An in-flight joiner is exactly this — no queue slot,
+  /// no deadline of its own; it completes when the execution it joined
+  /// does.
+  struct Request {
+    ServeCallback done;  // invoked exactly once, by Finish
+    std::chrono::steady_clock::time_point submitted;
+    // Trace stamp (obs/trace.h): zero while the tracer is disabled. Finish
+    // records the root "serve.submit" span, submit -> completion.
+    uint64_t trace_id = 0;
+    uint64_t root_span = 0;
+  };
+
+  /// A request that holds a queue slot.
+  struct Pending : Request {
     std::string input;
     // Dedup identity: empty means "same as input" (the common case under
     // kStrict, where the key is the exact payload).
     std::string key;
-    ServeCallback done;  // invoked exactly once with the response
-    std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
-    // Trace stamp (obs/trace.h): zero while the tracer is disabled. The
-    // root "serve.submit" span is recorded by whichever thread completes
-    // the request, so it covers submit -> completion.
-    uint64_t trace_id = 0;
-    uint64_t root_span = 0;
   };
 
-  /// A request attached to an in-flight execution: no queue slot, no
-  /// deadline of its own — it completes when the execution it joined does.
-  struct Joiner {
-    ServeCallback done;
-    std::chrono::steady_clock::time_point submitted;
-    uint64_t trace_id = 0;
-    uint64_t root_span = 0;
+  /// How a request completed; indexes the outcome counters.
+  enum class Outcome {
+    kRejected,          // queue full
+    kShutdownRejected,  // submitted after Shutdown()
+    kCacheHit,          // served from the LRU at submit time
+    kExpired,           // deadline passed while queued
+    kInvalid,           // failed session Validate
+    kCompleted,         // Ok through the model path, duplicates included
   };
-
-  // Metrics-registry handles + trace plumbing, resolved once at
-  // construction (shard.cc); kept behind a pointer so the header does not
-  // pull in the obs layer.
-  struct Obs;
+  static constexpr size_t kOutcomes =
+      static_cast<size_t>(Outcome::kCompleted) + 1;
 
   /// Dedup identity of one pending request (see Pending::key).
   static std::string_view KeyOf(const Pending& p) {
     return p.key.empty() ? std::string_view(p.input) : std::string_view(p.key);
   }
 
+  /// The one completion path: stamps latency_ms (submit -> `at`), bumps
+  /// `outcome`'s counter, feeds the latency histogram (every admitted
+  /// request, i.e. all but the two rejections) and, for kCompleted, the
+  /// Stats() reservoir; records the root span; runs the callback.
+  void Finish(const Request& request, ServeResponse response, Outcome outcome,
+              std::chrono::steady_clock::time_point at);
+  uint64_t Count(Outcome outcome) const {
+    return outcomes_[static_cast<size_t>(outcome)].load(
+        std::memory_order_acquire);
+  }
+
   void CollectorLoop();
   void CompleteBatch(std::vector<Pending>* batch);
   /// Removes `key`'s in-flight entry and returns its joiners (empty when
   /// coalescing is off or nobody attached).
-  std::vector<Joiner> TakeJoiners(std::string_view key);
-  /// Completes `joiners` with copies of a decided response (status or
-  /// output shared with the representative), stamping per-joiner latency
-  /// and a follows-from trace link to the execution span they rode (when
-  /// `exec_span` is non-zero). Latencies are appended to `lats_out` when
-  /// given (the model-path reservoir; failure paths pass null).
-  void CompleteJoiners(std::vector<Joiner> joiners, const ServeResponse& base,
+  std::vector<Request> TakeJoiners(std::string_view key);
+  /// Finishes `joiners` with copies of a decided response (status or
+  /// output shared with the representative) as `outcome`. A non-zero
+  /// `exec_span` adds a follows-from serve.execute span per joiner, linking
+  /// to the execution they rode.
+  void CompleteJoiners(std::vector<Request> joiners, const ServeResponse& base,
+                       Outcome outcome,
                        std::chrono::steady_clock::time_point done_at,
-                       uint64_t exec_trace, uint64_t exec_span,
-                       std::vector<double>* lats_out = nullptr);
+                       uint64_t exec_trace, uint64_t exec_span);
 
   std::shared_ptr<ModelSession> session_;
   ServerConfig config_;
@@ -351,43 +377,42 @@ class ServeShard {
   // Keyed by dedup key (exact payload under kStrict, normalized payload
   // otherwise).
   LruCache<std::string, std::string> cache_;
-  // In-flight coalescing: dedup key -> callbacks of the requests that
-  // attached to the pending execution. An entry exists exactly while a
-  // representative Pending with that key is queued or executing. Lock
-  // order: inflight_mu_ may be held while touching the queue (TryPush),
-  // never the reverse.
+  // In-flight coalescing: dedup key -> the requests that attached to the
+  // pending execution. An entry exists exactly while a representative
+  // Pending with that key is queued or executing. Lock order: inflight_mu_
+  // may be held while touching the queue (TryPush), never the reverse.
   std::mutex inflight_mu_;
-  std::unordered_map<std::string, std::vector<Joiner>> inflight_;
+  std::unordered_map<std::string, std::vector<Request>> inflight_;
   // kNearDup only: SimHash LSH index over cached keys, guarded by its own
   // mutex (probed on submit threads, appended on the collector).
   std::mutex neardup_mu_;
   std::unique_ptr<SimHashIndex> neardup_index_;
-  // Arrival estimator feeds the rpt_serve_arrival_rate_rps gauge (decayed
+  // Arrival estimator behind the rpt_serve_arrival_rate_rps gauge (decayed
   // on read) and, under kAdaptive, the controller's delay decisions.
   ArrivalRateEstimator arrivals_;
   std::unique_ptr<AdaptiveBatchController> controller_;  // kAdaptive only
-  std::thread collector_;
   std::atomic<bool> accepting_{true};
   std::once_flag shutdown_once_;
 
-  // Counters touched by client threads are atomic; the batch histogram and
-  // latency reservoir are collector-written under stats_mu_.
+  // The accounting record. Counters are atomics bumped on client and
+  // collector threads; cache hits are the kCacheHit outcomes plus (with
+  // the cache on) `coalesced_`. The batch-size map and the reservoir are
+  // collector-written under stats_mu_.
   std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> shutdown_rejected_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
+  std::array<std::atomic<uint64_t>, kOutcomes> outcomes_{};
+  std::atomic<uint64_t> cache_lookups_{0};  // hits + enqueued misses
+  std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> inflight_coalesced_{0};
   std::atomic<uint64_t> neardup_hits_{0};
   mutable std::mutex stats_mu_;
-  uint64_t completed_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t invalid_ = 0;
-  uint64_t coalesced_ = 0;
-  uint64_t batches_ = 0;
-  std::map<size_t, uint64_t> batch_hist_;
+  std::map<size_t, uint64_t> batch_hist_;  // forward-pass rows -> passes
   LatencyReservoir latencies_ms_;
-  std::unique_ptr<Obs> obs_;
+  obs::Histogram queue_wait_ms_{obs::DefaultLatencyBucketsMs()};
+  obs::Histogram execute_ms_{obs::DefaultLatencyBucketsMs()};
+  obs::Histogram latency_ms_{obs::DefaultLatencyBucketsMs()};
+  obs::Histogram arrival_interval_ms_{obs::DefaultLatencyBucketsMs()};
+  // Declared last: the collector uses every member above.
+  std::thread collector_;
 };
 
 }  // namespace rpt

@@ -1,6 +1,6 @@
 // BoundedQueue<T>: a mutex-based bounded MPMC queue with batch draining.
 //
-// Built for the serving layer's micro-batching scheduler (serve/server.h):
+// Built for the serving layer's micro-batching scheduler (serve/shard.h):
 // many client threads TryPush requests (non-blocking, turned away when full
 // so the server can exert backpressure — PushResult distinguishes a full
 // queue from a closed one so the caller can report shutdown correctly),

@@ -19,8 +19,8 @@
 
 #include "serve/adaptive.h"
 #include "serve/reservoir.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 
 namespace rpt {
 namespace {
@@ -266,8 +266,8 @@ TEST(AdaptiveServeTest, FixedIsTheDefaultAndUntouched) {
   EXPECT_EQ(config.batch_policy, BatchPolicy::kFixed);
   auto session = std::make_shared<SyntheticSession>(microseconds(50),
                                                     microseconds(5));
-  InferenceServer server(session);
-  ASSERT_TRUE(server.SubmitWait("x").status.ok());
+  ServeShard server(session);
+  ASSERT_TRUE(server.Submit("x").get().status.ok());
   server.Shutdown();
   // Under kFixed the effective window is the configured one and the
   // adaptive machinery stays silent — including its render row.
@@ -287,7 +287,7 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
                                                       microseconds(10));
     ServerConfig config = AdaptiveServerConfig();
     config.batch_policy = policy;
-    InferenceServer server(session, config);
+    ServeShard server(session, config);
     std::map<std::string, std::string> outputs;
     std::vector<std::future<ServeResponse>> futures;
     futures.reserve(inputs.size());
@@ -309,7 +309,7 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
 TEST(AdaptiveServeTest, ControllerRunsAndExportsAdjustments) {
   auto session = std::make_shared<SyntheticSession>(microseconds(100),
                                                     microseconds(10));
-  InferenceServer server(session, AdaptiveServerConfig());
+  ServeShard server(session, AdaptiveServerConfig());
   std::vector<std::future<ServeResponse>> futures;
   for (int burst = 0; burst < 4; ++burst) {
     for (int i = 0; i < 24; ++i) {
@@ -338,7 +338,7 @@ TEST(AdaptiveServeTest, ReservoirBoundsShardStatsMemory) {
   config.max_batch_delay = microseconds(50);
   config.queue_capacity = 8192;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
   constexpr int kRequests = 6000;  // well past the 4096-sample cap
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(kRequests);
@@ -369,7 +369,7 @@ TEST(AdaptiveServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
     config.max_batch_delay = microseconds(200);
     config.queue_capacity = 1 << 20;  // cannot fill in this test
     config.cache_capacity = 0;
-    InferenceServer server(session, config);
+    ServeShard server(session, config);
 
     constexpr int kThreads = 4;
     std::atomic<bool> stop{false};
@@ -378,8 +378,8 @@ TEST(AdaptiveServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
     for (int t = 0; t < kThreads; ++t) {
       clients.emplace_back([&, t] {
         for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-          ServeResponse r = server.SubmitWait("t" + std::to_string(t) + "_" +
-                                              std::to_string(i));
+          ServeResponse r = server.Submit("t" + std::to_string(t) + "_" +
+                                          std::to_string(i)).get();
           if (r.status.ok()) {
             ok.fetch_add(1);
           } else if (r.status.message().find("shut down") !=

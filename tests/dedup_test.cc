@@ -19,8 +19,8 @@
 
 #include "corpus/dedup.h"
 #include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 #include "util/simhash.h"
 
 namespace rpt {
@@ -278,7 +278,7 @@ TEST(InflightCoalescingTest, JoinerRidesThePinnedExecution) {
   config.max_batch_size = 1;
   config.queue_capacity = 16;
   config.cache_capacity = 8;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // First submit is popped by the collector and wedges on the gate; the
   // entry for its key stays in the in-flight map the whole time.
@@ -314,7 +314,7 @@ TEST(InflightCoalescingTest, JoinerInheritsDeadlineExpiry) {
   config.max_batch_size = 1;
   config.queue_capacity = 16;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // Wedge the collector, then enqueue a doomed representative and attach a
   // joiner with *no* deadline of its own: it must still expire with the
@@ -341,7 +341,7 @@ TEST(InflightCoalescingTest, DisabledRunsEveryQueuedDuplicate) {
   config.queue_capacity = 16;
   config.cache_capacity = 0;
   config.inflight_coalescing = false;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::future<ServeResponse> a = server.Submit("same");
   std::this_thread::sleep_for(milliseconds(20));
@@ -365,7 +365,7 @@ TEST(InflightCoalescingTest, RaceHammerOneForwardPassPerKey) {
   config.max_batch_size = 4;
   config.queue_capacity = 256;
   config.cache_capacity = 0;  // no LRU: dedup must come from coalescing
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
@@ -377,7 +377,7 @@ TEST(InflightCoalescingTest, RaceHammerOneForwardPassPerKey) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const int k = (t + i) % kKeys;
-        ServeResponse r = server.SubmitWait("key" + std::to_string(k));
+        ServeResponse r = server.Submit("key" + std::to_string(k)).get();
         std::lock_guard<std::mutex> lock(results_mu);
         results.emplace_back(k, std::move(r));
       }
@@ -416,7 +416,7 @@ TEST(InflightCoalescingTest, RacesShutdownWithoutLosingCallbacks) {
     config.max_batch_size = 4;
     config.queue_capacity = 64;
     config.cache_capacity = 4;
-    auto server = std::make_unique<InferenceServer>(session, config);
+    auto server = std::make_unique<ServeShard>(session, config);
 
     constexpr int kThreads = 6;
     constexpr int kPerThread = 10;
@@ -447,14 +447,14 @@ TEST(ServeDedupTest, NormalizedKeyingCollapsesSurfaceVariants) {
   config.max_batch_size = 4;
   config.cache_capacity = 64;
   config.exactness = Exactness::kNormalized;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ServeResponse first = server.SubmitWait(Fields({"Apple", "Cupertino"}));
+  ServeResponse first = server.Submit(Fields({"Apple", "Cupertino"})).get();
   ASSERT_TRUE(first.status.ok());
   EXPECT_FALSE(first.cache_hit);
   // Whitespace/case/order variant: same normalized key, served from cache.
   ServeResponse second =
-      server.SubmitWait(Fields({" cupertino ", "APPLE"}));
+      server.Submit(Fields({" cupertino ", "APPLE"})).get();
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.output, first.output);
@@ -470,11 +470,11 @@ TEST(ServeDedupTest, StrictServesNoVariantFromCache) {
   config.max_batch_size = 4;
   config.cache_capacity = 64;
   config.exactness = Exactness::kStrict;  // default, but explicit here
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ASSERT_TRUE(server.SubmitWait(Fields({"Apple", "Cupertino"})).status.ok());
+  ASSERT_TRUE(server.Submit(Fields({"Apple", "Cupertino"})).get().status.ok());
   ServeResponse variant =
-      server.SubmitWait(Fields({" cupertino ", "APPLE"}));
+      server.Submit(Fields({" cupertino ", "APPLE"})).get();
   ASSERT_TRUE(variant.status.ok());
   EXPECT_FALSE(variant.cache_hit);  // different bytes -> model ran again
   server.Shutdown();
@@ -490,23 +490,23 @@ TEST(ServeDedupTest, NearDupServesWithinThresholdOnly) {
   config.cache_capacity = 64;
   config.exactness = Exactness::kNearDup;
   config.neardup_max_hamming = 12;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ServeResponse first = server.SubmitWait(kLongDoc);
+  ServeResponse first = server.Submit(kLongDoc).get();
   ASSERT_TRUE(first.status.ok());
 
   // One-token variant: within the Hamming threshold, served from the
   // near-dup index without another forward pass — response bytes are the
   // *cached* answer for the base payload.
-  ServeResponse near = server.SubmitWait(kNearVariant);
+  ServeResponse near = server.Submit(kNearVariant).get();
   ASSERT_TRUE(near.status.ok());
   EXPECT_TRUE(near.cache_hit);
   EXPECT_EQ(near.output, first.output);
   EXPECT_EQ(session->calls(), 1);
 
   // Unrelated payload: far past the threshold, must run the model.
-  ServeResponse far = server.SubmitWait(
-      "garden hose reel 30m wall mounted automatic rewind green");
+  ServeResponse far = server.Submit(
+      "garden hose reel 30m wall mounted automatic rewind green").get();
   ASSERT_TRUE(far.status.ok());
   EXPECT_FALSE(far.cache_hit);
   EXPECT_EQ(session->calls(), 2);

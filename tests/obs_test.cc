@@ -19,7 +19,6 @@
 #include "obs/trace.h"
 #include "prometheus_check.h"
 #include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
 
 namespace rpt {
@@ -353,10 +352,12 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   config.max_batch_delay = microseconds(500);
   config.queue_capacity = 1024;
   config.cache_capacity = 0;
-  config.name = "obs_stability_test";  // series unique to this test
-  InferenceServer server(
-      std::make_shared<SyntheticSession>(microseconds(100), microseconds(10)),
-      config);
+  // The route name makes the series unique to this test.
+  RoutedServer server(
+      {{"obs_stability_test",
+        {std::make_shared<SyntheticSession>(microseconds(100),
+                                            microseconds(10))},
+        config}});
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -369,7 +370,8 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        server.SubmitWait("q" + std::to_string(t) + "_" + std::to_string(i));
+        server.SubmitWait("obs_stability_test",
+                          "q" + std::to_string(t) + "_" + std::to_string(i));
       }
     });
   }
@@ -380,7 +382,7 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
 
   const std::string text = server.MetricsText();
   ValidateExposition(text);
-  const std::string label = "{server=\"obs_stability_test\"}";
+  const std::string label = "{server=\"obs_stability_test#0\"}";
   EXPECT_DOUBLE_EQ(SampleValue(text, "rpt_serve_submitted_total", label),
                    kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(SampleValue(text, "rpt_serve_completed_total", label),

@@ -1,7 +1,8 @@
 // Tests for the routed serving front-end: route-key dispatch, stable
 // payload-hash sharding (per-shard caches keep absorbing repeats),
 // least-loaded fallback under shard saturation, per-route/per-shard stats
-// aggregation, and concurrent submit vs shutdown.
+// aggregation, concurrent submit vs shutdown, and the exposition: each
+// server renders its own shards' series, and they agree with Stats().
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "prometheus_check.h"
 #include "serve/routed_server.h"
 #include "serve/sessions.h"
 #include "util/hash.h"
@@ -25,6 +28,8 @@ namespace {
 
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
+using testutil::SampleValue;
+using testutil::ValidateExposition;
 
 /// Echoes inputs prefixed with a fixed label, so tests can tell which
 /// route's session produced an output.
@@ -76,6 +81,17 @@ class GateSession : public ModelSession {
   std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+};
+
+/// GateSession whose Validate rejects payloads starting with "bad".
+class PickyGateSession : public GateSession {
+ public:
+  Status Validate(const std::string& input) const override {
+    if (input.rfind("bad", 0) == 0) {
+      return Status::InvalidArgument("payload starts with 'bad'");
+    }
+    return Status::Ok();
+  }
 };
 
 /// First `count` payloads of the form "p<i>" that hash onto `want_shard`
@@ -569,6 +585,260 @@ TEST(RoutedServerTest, MismatchedReplicaBackendsListDies) {
   spec.config = config;
   spec.replica_backends = {ComputeBackend::kCpuScalar};  // 1 entry, 2 replicas
   EXPECT_DEATH(RoutedServer({spec}), "replica_backends");
+}
+
+// ---- Exposition: one record per shard ---------------------------------------
+
+/// Value of `name{server="<shard>"<extra>}` in `text`.
+double ShardSample(const std::string& text, const std::string& name,
+                   const std::string& shard, const std::string& extra = "") {
+  return SampleValue(text, name, "{" + extra + "server=\"" + shard + "\"}");
+}
+
+/// Every counter series of `shard` in `text` must equal its Stats() field;
+/// the batch-row histogram must equal the exact batch-size map, and the
+/// latency histogram must hold one observation per admitted request.
+void ExpectExpositionMatchesStats(const std::string& text,
+                                  const std::string& shard,
+                                  const ServerStatsSnapshot& s) {
+  SCOPED_TRACE(shard);
+  const auto series = [&](const char* name) {
+    return ShardSample(text, name, shard);
+  };
+  EXPECT_DOUBLE_EQ(series("rpt_serve_submitted_total"), s.submitted);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_completed_total"), s.completed);
+  EXPECT_DOUBLE_EQ(ShardSample(text, "rpt_serve_rejected_total", shard,
+                               "reason=\"queue_full\","),
+                   s.rejected);
+  EXPECT_DOUBLE_EQ(ShardSample(text, "rpt_serve_rejected_total", shard,
+                               "reason=\"shutdown\","),
+                   s.shutdown_rejected);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_expired_total"), s.expired);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_invalid_total"), s.invalid);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_cache_hits_total"), s.cache_hits);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_cache_lookups_total") -
+                       series("rpt_serve_cache_hits_total"),
+                   s.cache_misses);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_coalesced_total"), s.coalesced);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_inflight_coalesced_total"),
+                   s.inflight_coalesced);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_neardup_hits_total"), s.neardup_hits);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_batches_total"), s.batches);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_adapt_adjust_total"),
+                   s.adapt_adjustments);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_queue_depth"), s.queue_depth);
+  // The batch-row histogram is built from the exact map, in every build.
+  double rows = 0;
+  for (const auto& [size, count] : s.batch_size_histogram) {
+    rows += static_cast<double>(size * count);
+  }
+  EXPECT_DOUBLE_EQ(series("rpt_serve_batch_rows_count"), s.batches);
+  EXPECT_DOUBLE_EQ(series("rpt_serve_batch_rows_sum"), rows);
+  if constexpr (obs::kObsEnabled) {
+    // Every request that was not turned away at submit time completed
+    // (the server is shut down and drained): hit, model answer, expiry or
+    // Validate failure — each one latency observation.
+    EXPECT_DOUBLE_EQ(series("rpt_serve_latency_ms_count"),
+                     s.submitted - s.rejected - s.shutdown_rejected);
+  }
+}
+
+// Each server renders only its own shards' series and its own dispatch
+// counters: two live servers that both have a `clean` route (shard
+// `clean#0`) never share a series.
+TEST(RoutedMetricsTest, TwoServersWithOneRouteNameKeepSeparateSeries) {
+  ServerConfig config;
+  config.cache_capacity = 0;
+  RoutedServer a({{"clean", {std::make_shared<LabelSession>("a")}, config}});
+  RoutedServer b({{"clean", {std::make_shared<LabelSession>("b")}, config}});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(a.SubmitWait("clean", "a" + std::to_string(i)).status.ok());
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(b.SubmitWait("clean", "b" + std::to_string(i)).status.ok());
+  }
+  ASSERT_EQ(a.SubmitWait("translate", "x").status.code(),
+            StatusCode::kNotFound);
+
+  const std::string text_a = a.MetricsText();
+  const std::string text_b = b.MetricsText();
+  ValidateExposition(text_a);
+  ValidateExposition(text_b);
+  EXPECT_DOUBLE_EQ(ShardSample(text_a, "rpt_serve_submitted_total", "clean#0"),
+                   3);
+  EXPECT_DOUBLE_EQ(ShardSample(text_b, "rpt_serve_submitted_total", "clean#0"),
+                   5);
+  EXPECT_DOUBLE_EQ(SampleValue(text_a, "rpt_route_unknown_total", ""), 1);
+  EXPECT_DOUBLE_EQ(SampleValue(text_b, "rpt_route_unknown_total", ""), 0);
+}
+
+/// Waits until `route`'s collectors have popped everything queued (a
+/// wedged collector holds its batch, not a queue slot).
+void WaitForEmptyQueue(const RoutedServer& server, const std::string& route) {
+  const auto depth = [&] {
+    for (const RouteStatsSnapshot& r : server.Stats().routes) {
+      if (r.route == route) return r.total.queue_depth;
+    }
+    return size_t{0};
+  };
+  while (depth() > 0) std::this_thread::sleep_for(milliseconds(1));
+}
+
+/// Holds a gate shard shut with a wedge request, submits a representative
+/// and one joiner carrying `payload` (the representative with `timeout`),
+/// and checks both fail with `want`. Returns the shard's latency count.
+double LatencyCountAfterFailedJoin(const std::string& route,
+                                   const std::string& payload,
+                                   milliseconds timeout, StatusCode want) {
+  auto gate = std::make_shared<PickyGateSession>();
+  ServerConfig config;
+  config.max_batch_size = 1;
+  config.cache_capacity = 0;
+  RoutedServer server({{route, {gate}, config}});
+  std::future<ServeResponse> wedge = server.Submit(route, "wedge");
+  WaitForEmptyQueue(server, route);
+  std::future<ServeResponse> rep = server.Submit(route, payload, timeout);
+  std::future<ServeResponse> joiner = server.Submit(route, payload);
+  std::this_thread::sleep_for(milliseconds(50));
+  gate->Open();
+  EXPECT_TRUE(wedge.get().status.ok());
+  EXPECT_EQ(rep.get().status.code(), want);
+  EXPECT_EQ(joiner.get().status.code(), want);
+  server.Shutdown();
+  EXPECT_EQ(server.Stats().total.inflight_coalesced, 1u);
+  return ShardSample(server.MetricsText(), "rpt_serve_latency_ms_count",
+                     route + "#0");
+}
+
+// Every admitted request reaches the latency histogram, a representative
+// that fails at batch formation included: wedge + representative + joiner.
+TEST(RoutedMetricsTest, ExpiredRepresentativeAndJoinerAreBothObserved) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "built with RPT_OBS_OFF";
+  EXPECT_DOUBLE_EQ(LatencyCountAfterFailedJoin("expiry", "doomed",
+                                               milliseconds(1),
+                                               StatusCode::kDeadlineExceeded),
+                   3);
+}
+
+TEST(RoutedMetricsTest, InvalidRepresentativeAndJoinerAreBothObserved) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "built with RPT_OBS_OFF";
+  EXPECT_DOUBLE_EQ(
+      LatencyCountAfterFailedJoin("invalid", "bad payload",
+                                  milliseconds::max(),
+                                  StatusCode::kInvalidArgument),
+      3);
+}
+
+// Drives one server through every outcome, then checks that /metrics and
+// Stats() agree series by series.
+TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
+  constexpr const char kDoc[] =
+      "stainless steel chef knife 20 cm blade full tang riveted pakka wood "
+      "handle forged from one piece hand sharpened to 15 degrees per side "
+      "dishwasher safe but hand washing recommended lifetime warranty";
+  constexpr const char kNearDoc[] =
+      "stainless steel chef knife 21 cm blade full tang riveted pakka wood "
+      "handle forged from one piece hand sharpened to 15 degrees per side "
+      "dishwasher safe but hand washing recommended lifetime warranty";
+
+  ServerConfig cache_config;
+  cache_config.cache_capacity = 64;
+  cache_config.exactness = Exactness::kNearDup;
+  cache_config.neardup_max_hamming = 12;
+  ServerConfig inbatch_config;
+  inbatch_config.max_batch_size = 2;  // closes once both duplicates arrive
+  inbatch_config.max_batch_delay = std::chrono::seconds(10);
+  inbatch_config.inflight_coalescing = false;
+  ServerConfig gate_config;
+  gate_config.max_batch_size = 1;
+  gate_config.queue_capacity = 2;
+  ServerConfig pool_config;
+  pool_config.max_batch_size = 1;
+  pool_config.queue_capacity = 1;
+  pool_config.cache_capacity = 0;
+  auto gate = std::make_shared<PickyGateSession>();
+  auto pool_gate = std::make_shared<GateSession>();
+  std::vector<RouteSpec> routes;
+  routes.push_back(
+      {"cache", {std::make_shared<LabelSession>("cache")}, cache_config});
+  routes.push_back(
+      {"inbatch", {std::make_shared<LabelSession>("inbatch")}, inbatch_config});
+  routes.push_back({"gate", {gate}, gate_config});
+  routes.push_back(
+      {"pool", {pool_gate, std::make_shared<LabelSession>("pool")},
+       pool_config});
+  RoutedServer server(std::move(routes));
+
+  // LRU hit and near-duplicate hit.
+  ASSERT_TRUE(server.SubmitWait("cache", kDoc).status.ok());
+  EXPECT_TRUE(server.SubmitWait("cache", kDoc).cache_hit);
+  EXPECT_TRUE(server.SubmitWait("cache", kNearDoc).cache_hit);
+  // In-batch duplicate (in-flight coalescing off).
+  std::future<ServeResponse> dup_a = server.Submit("inbatch", "dup");
+  std::future<ServeResponse> dup_b = server.Submit("inbatch", "dup");
+  EXPECT_NE(dup_a.get().cache_hit, dup_b.get().cache_hit);
+  // Behind a wedged collector: an Ok joiner, an expiring representative
+  // with its joiner, a Validate failure, and queue-full.
+  std::future<ServeResponse> wedge = server.Submit("gate", "wedge");
+  WaitForEmptyQueue(server, "gate");
+  std::future<ServeResponse> wedge_joiner = server.Submit("gate", "wedge");
+  std::future<ServeResponse> doomed =
+      server.Submit("gate", "doomed", milliseconds(1));
+  std::future<ServeResponse> doomed_joiner = server.Submit("gate", "doomed");
+  std::future<ServeResponse> bad = server.Submit("gate", "bad");
+  EXPECT_EQ(server.SubmitWait("gate", "overflow").status.code(),
+            StatusCode::kUnavailable);
+  // Saturation fallback: shard 0 of the pool is wedged and its one-slot
+  // queue full, so its next payload runs on shard 1.
+  const std::vector<std::string> pool_payloads = PayloadsForShard(0, 2, 3);
+  std::future<ServeResponse> pool_a = server.Submit("pool", pool_payloads[0]);
+  WaitForEmptyQueue(server, "pool");
+  std::future<ServeResponse> pool_b = server.Submit("pool", pool_payloads[1]);
+  EXPECT_TRUE(server.SubmitWait("pool", pool_payloads[2]).status.ok());
+  // Unknown route.
+  EXPECT_EQ(server.SubmitWait("nope", "x").status.code(),
+            StatusCode::kNotFound);
+
+  std::this_thread::sleep_for(milliseconds(30));
+  gate->Open();
+  pool_gate->Open();
+  EXPECT_TRUE(wedge.get().status.ok());
+  EXPECT_TRUE(wedge_joiner.get().cache_hit);
+  EXPECT_EQ(doomed.get().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(doomed_joiner.get().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(bad.get().status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(pool_a.get().status.ok());
+  EXPECT_TRUE(pool_b.get().status.ok());
+  server.Shutdown();
+  // Shutdown rejection.
+  EXPECT_EQ(server.SubmitWait("cache", "late").status.code(),
+            StatusCode::kUnavailable);
+
+  const RoutedStatsSnapshot stats = server.Stats();
+  // Every outcome happened.
+  EXPECT_EQ(stats.total.neardup_hits, 1u);
+  EXPECT_EQ(stats.total.inflight_coalesced, 2u);
+  EXPECT_EQ(stats.total.coalesced, 2u);  // in-batch dup + Ok joiner
+  EXPECT_EQ(stats.total.cache_hits, 4u);  // LRU + near-dup + both folds
+  EXPECT_EQ(stats.total.rejected, 1u);
+  EXPECT_EQ(stats.total.shutdown_rejected, 1u);
+  EXPECT_EQ(stats.total.expired, 2u);
+  EXPECT_EQ(stats.total.invalid, 1u);
+  EXPECT_EQ(stats.unknown_route, 1u);
+  EXPECT_EQ(stats.fallback_dispatches, 1u);
+
+  const std::string text = server.MetricsText();
+  ValidateExposition(text);
+  for (const RouteStatsSnapshot& route : stats.routes) {
+    for (size_t i = 0; i < route.shards.size(); ++i) {
+      ExpectExpositionMatchesStats(text, route.route + "#" + std::to_string(i),
+                                   route.shards[i]);
+    }
+  }
+  EXPECT_DOUBLE_EQ(SampleValue(text, "rpt_route_unknown_total", ""),
+                   stats.unknown_route);
+  EXPECT_DOUBLE_EQ(SampleValue(text, "rpt_route_fallback_total", ""),
+                   stats.fallback_dispatches);
 }
 
 }  // namespace

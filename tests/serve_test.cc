@@ -19,8 +19,8 @@
 #include "rpt/matcher.h"
 #include "rpt/vocab_builder.h"
 #include "serve/lru_cache.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 #include "table/table.h"
 
 namespace rpt {
@@ -135,7 +135,7 @@ TEST(LruCacheTest, OverwriteAtCapacityNeverEvicts) {
   EXPECT_TRUE(cache.Get("a").has_value());
 }
 
-// ---- InferenceServer --------------------------------------------------------
+// ---- ServeShard -------------------------------------------------------------
 
 TEST(ServeTest, ConcurrentSubmitAllComplete) {
   auto session = std::make_shared<SyntheticSession>(microseconds(200),
@@ -145,7 +145,7 @@ TEST(ServeTest, ConcurrentSubmitAllComplete) {
   config.max_batch_delay = microseconds(500);
   config.queue_capacity = 1024;
   config.cache_capacity = 0;  // every request must reach the model
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
@@ -155,8 +155,8 @@ TEST(ServeTest, ConcurrentSubmitAllComplete) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        ServeResponse r = server.SubmitWait("t" + std::to_string(t) + "_" +
-                                            std::to_string(i));
+        ServeResponse r = server.Submit("t" + std::to_string(t) + "_" +
+                                        std::to_string(i)).get();
         std::lock_guard<std::mutex> lock(results_mu);
         results.push_back(std::move(r));
       }
@@ -196,7 +196,7 @@ TEST(ServeTest, MicroBatchingActuallyBatches) {
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(20000);  // generous straggler window
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // 16 requests fired together with a wide delay window must ride in far
   // fewer than 16 passes.
@@ -219,7 +219,7 @@ TEST(ServeTest, QueueFullRejectsWithUnavailable) {
   config.max_batch_size = 1;
   config.queue_capacity = 2;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // With the gate closed the collector wedges on its first batch; pushing
   // capacity + 2 more must overflow the queue at least once.
@@ -247,7 +247,7 @@ TEST(ServeTest, DeadlineExpiresWhileQueued) {
   config.max_batch_size = 1;
   config.queue_capacity = 16;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // First request occupies the collector (gate closed); the second waits in
   // the queue past its 1 ms deadline.
@@ -271,7 +271,7 @@ TEST(ServeTest, ShutdownDrainsQueuedRequests) {
   config.max_batch_size = 4;
   config.queue_capacity = 64;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 20; ++i) {
@@ -284,7 +284,7 @@ TEST(ServeTest, ShutdownDrainsQueuedRequests) {
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   }
   // Post-shutdown submissions are turned away immediately.
-  ServeResponse late = server.SubmitWait("late");
+  ServeResponse late = server.Submit("late").get();
   EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
 }
 
@@ -294,12 +294,12 @@ TEST(ServeTest, CacheShortCircuitsRepeats) {
   ServerConfig config;
   config.max_batch_size = 4;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ServeResponse cold = server.SubmitWait("hello");
+  ServeResponse cold = server.Submit("hello").get();
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.cache_hit);
-  ServeResponse warm = server.SubmitWait("hello");
+  ServeResponse warm = server.Submit("hello").get();
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.output, cold.output);
@@ -319,7 +319,7 @@ TEST(ServeTest, RejectedRequestsDoNotCountAsCacheMisses) {
   config.max_batch_size = 1;
   config.queue_capacity = 2;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 6; ++i) {
@@ -347,11 +347,11 @@ TEST(ServeTest, ShutdownRejectionsAreCountedSeparately) {
                                                     microseconds(5));
   ServerConfig config;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
-  ASSERT_TRUE(server.SubmitWait("x").status.ok());
+  ServeShard server(session, config);
+  ASSERT_TRUE(server.Submit("x").get().status.ok());
   server.Shutdown();
 
-  ServeResponse late = server.SubmitWait("late");
+  ServeResponse late = server.Submit("late").get();
   EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(late.status.message().find("shut down"), std::string::npos);
 
@@ -369,11 +369,11 @@ TEST(ServeTest, CacheHitResponsesStampLatency) {
                                                     microseconds(10));
   ServerConfig config;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ServeResponse cold = server.SubmitWait("hello");
+  ServeResponse cold = server.Submit("hello").get();
   ASSERT_TRUE(cold.status.ok());
-  ServeResponse warm = server.SubmitWait("hello");
+  ServeResponse warm = server.Submit("hello").get();
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(warm.cache_hit);
   // Previously left at 0, making client-side latency accounting treat hits
@@ -395,8 +395,8 @@ TEST(ServeTest, SubmitAsyncCacheHitCompletesInlineWithLatency) {
                                                     microseconds(10));
   ServerConfig config;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
-  ASSERT_TRUE(server.SubmitWait("hello").status.ok());  // warm the cache
+  ServeShard server(session, config);
+  ASSERT_TRUE(server.Submit("hello").get().status.ok());  // warm the cache
 
   bool invoked = false;
   std::thread::id callback_thread;
@@ -424,7 +424,7 @@ TEST(ServeTest, SubmitAsyncQueueFullRejectsInlineAndCounts) {
   config.max_batch_size = 1;
   config.queue_capacity = 2;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // With the gate closed the collector wedges on its first batch; async
   // submissions beyond capacity must be rejected inline.
@@ -458,7 +458,7 @@ TEST(ServeTest, SubmitAsyncQueueFullRejectsInlineAndCounts) {
 TEST(ServeTest, SubmitAsyncAfterShutdownRejectsInline) {
   auto session = std::make_shared<SyntheticSession>(microseconds(50),
                                                     microseconds(5));
-  InferenceServer server(session);
+  ServeShard server(session);
   server.Shutdown();
 
   bool invoked = false;
@@ -476,7 +476,7 @@ TEST(ServeTest, SubmitAsyncModelPathCompletesOnCollectorThread) {
                                                     microseconds(10));
   ServerConfig config;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::promise<ServeResponse> done;
   std::thread::id callback_thread;
@@ -497,7 +497,7 @@ TEST(ServeTest, SubmitAsyncModelPathCompletesOnCollectorThread) {
 /// identical outputs and identical accounting for identical traffic.
 TEST(ServeTest, SubmitFutureAndSubmitAsyncAgree) {
   auto make_server = [] {
-    return std::make_unique<InferenceServer>(
+    return std::make_unique<ServeShard>(
         std::make_shared<SyntheticSession>(microseconds(100),
                                            microseconds(10)));
   };
@@ -507,7 +507,7 @@ TEST(ServeTest, SubmitFutureAndSubmitAsyncAgree) {
   std::vector<std::string> outputs_async;
   for (int i = 0; i < 8; ++i) {
     const std::string payload = "p" + std::to_string(i % 4);  // repeats hit
-    outputs_future.push_back(via_future->SubmitWait(payload).output);
+    outputs_future.push_back(via_future->Submit(payload).get().output);
     std::promise<ServeResponse> done;
     via_async->SubmitAsync(payload, [&](ServeResponse r) {
       done.set_value(std::move(r));
@@ -528,7 +528,7 @@ TEST(ServeTest, DuplicatePayloadsWithinBatchCoalesce) {
   config.max_batch_delay = microseconds(500000);  // gather everything queued
   config.queue_capacity = 16;
   config.cache_capacity = 16;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // The generous gather window pulls all four submissions into one
   // micro-batch (the gate blocks execution, not batch formation).
@@ -578,8 +578,8 @@ TEST(ServeTest, DuplicatePayloadsWithinBatchCoalesce) {
 TEST(ServeTest, StatsRenderMentionsKeyMetrics) {
   auto session = std::make_shared<SyntheticSession>(microseconds(50),
                                                     microseconds(5));
-  InferenceServer server(session);
-  server.SubmitWait("x");
+  ServeShard server(session);
+  server.Submit("x").get();
   server.Shutdown();
   const std::string report = server.Stats().Render("synthetic");
   EXPECT_NE(report.find("serving stats"), std::string::npos);
@@ -670,7 +670,7 @@ TEST(SessionTest, CleanerSessionServesMaskedCells) {
       std::make_shared<CleanerSession>(&cleaner, table.schema());
   ServerConfig server_config;
   server_config.max_batch_size = 4;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   // Batched serving must agree with the direct batched API.
   Tuple query = {Value::String("ada"), Value::Null()};
@@ -713,35 +713,35 @@ TEST(SessionTest, InvalidRequestsGetInvalidArgumentNotACrash) {
   ServerConfig server_config;
   server_config.max_batch_size = 4;
   server_config.cache_capacity = 0;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   // A cell whose serialization exceeds max_seq_len.
   std::string long_text;
   for (int i = 0; i < 64; ++i) long_text += "word" + std::to_string(i) + " ";
   Tuple over_long = {Value::String(long_text), Value::Null()};
   ServeResponse r =
-      server.SubmitWait(CleanerSession::FormatCellQuery(over_long, 1));
+      server.Submit(CleanerSession::FormatCellQuery(over_long, 1)).get();
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status.message().find("max_seq_len"), std::string::npos);
 
   // Column out of range, non-numeric column, wrong arity, no separator.
   Tuple query = {Value::String("ada"), Value::Null()};
-  EXPECT_EQ(server.SubmitWait(CleanerSession::FormatCellQuery(query, 1) +
-                              "\x1f" "extra_field")
+  EXPECT_EQ(server.Submit(CleanerSession::FormatCellQuery(query, 1) +
+                          "\x1f" "extra_field").get()
                 .status.code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(
-      server.SubmitWait("7\x1f" "ada\x1f" "london").status.code(),
+      server.Submit("7\x1f" "ada\x1f" "london").get().status.code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ(
-      server.SubmitWait("zap\x1f" "ada\x1f" "london").status.code(),
+      server.Submit("zap\x1f" "ada\x1f" "london").get().status.code(),
       StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.SubmitWait("no separator here").status.code(),
+  EXPECT_EQ(server.Submit("no separator here").get().status.code(),
             StatusCode::kInvalidArgument);
 
   // The server survives and still answers a well-formed request.
-  ServeResponse ok = server.SubmitWait(
-      CleanerSession::FormatCellQuery(query, 1));
+  ServeResponse ok = server.Submit(
+      CleanerSession::FormatCellQuery(query, 1)).get();
   EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
   server.Shutdown();
   ServerStatsSnapshot stats = server.Stats();
@@ -769,26 +769,26 @@ TEST(SessionTest, MatcherRejectsMalformedPairsWithoutCrashing) {
       &matcher, table.schema(), table.schema());
   ServerConfig server_config;
   server_config.cache_capacity = 0;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   Tuple a = {Value::String("ada"), Value::String("london")};
   Tuple b = {Value::String("alan"), Value::String("cambridge")};
   const std::string good = MatcherSession::FormatPairQuery(a, b);
 
-  EXPECT_EQ(server.SubmitWait("no record separator").status.code(),
+  EXPECT_EQ(server.Submit("no record separator").get().status.code(),
             StatusCode::kInvalidArgument);
   // An embedded record separator shifts everything after it.
-  EXPECT_EQ(server.SubmitWait(good + "\x1e" "trailing").status.code(),
+  EXPECT_EQ(server.Submit(good + "\x1e" "trailing").get().status.code(),
             StatusCode::kInvalidArgument);
   // Wrong arity on the right side.
-  EXPECT_EQ(server.SubmitWait(good + "\x1f" "extra").status.code(),
+  EXPECT_EQ(server.Submit(good + "\x1f" "extra").get().status.code(),
             StatusCode::kInvalidArgument);
   // Wrong arity on the left side.
   EXPECT_EQ(
-      server.SubmitWait("only_one_field\x1e" "x\x1f" "y").status.code(),
+      server.Submit("only_one_field\x1e" "x\x1f" "y").get().status.code(),
       StatusCode::kInvalidArgument);
 
-  ServeResponse ok = server.SubmitWait(good);
+  ServeResponse ok = server.Submit(good).get();
   EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
   server.Shutdown();
   EXPECT_EQ(server.Stats().invalid, 4u);
@@ -809,16 +809,16 @@ TEST(SessionTest, ExtractorRejectsMalformedQueriesWithoutCrashing) {
   auto session = std::make_shared<ExtractorSession>(&extractor);
   ServerConfig server_config;
   server_config.cache_capacity = 0;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   // No question/paragraph separator.
-  EXPECT_EQ(server.SubmitWait("where does ada live").status.code(),
+  EXPECT_EQ(server.Submit("where does ada live").get().status.code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.SubmitWait("").status.code(),
+  EXPECT_EQ(server.Submit("").get().status.code(),
             StatusCode::kInvalidArgument);
 
-  ServeResponse ok = server.SubmitWait(ExtractorSession::FormatQaQuery(
-      "where does ada live", "ada lives in london with a cat"));
+  ServeResponse ok = server.Submit(ExtractorSession::FormatQaQuery(
+      "where does ada live", "ada lives in london with a cat")).get();
   EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
   server.Shutdown();
   EXPECT_EQ(server.Stats().invalid, 2u);

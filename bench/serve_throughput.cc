@@ -63,7 +63,6 @@
 
 namespace {
 
-using rpt::BatchPolicy;
 using rpt::bench::Check;
 using rpt::bench::CurrentRssBytes;
 using rpt::bench::g_failures;
@@ -120,7 +119,7 @@ double RunSequential(const std::vector<std::string>& inputs) {
 /// ServeShard; returns requests/sec and prints server stats. With
 /// `passes > 1` the whole workload is replayed after the first pass
 /// completes — repeats then land in the warmed LRU cache (cache lookups
-/// happen at submit time; only same-batch duplicates coalesce in flight).
+/// happen at submit time; concurrent repeats join the in-flight execution).
 double RunServed(const std::vector<std::string>& inputs, size_t max_batch,
                  size_t cache_capacity, int passes, const char* label) {
   auto session = std::make_shared<SyntheticSession>(kPerPass, kPerItem);
@@ -331,8 +330,8 @@ void MixedRoutedWorkload(bool smoke) {
         const RouteCost& c = costs[i % costs.size()];
         // Every 4th payload repeats, so per-shard caches see traffic.
         const int key = (i % 4 == 3) ? (i % 24) : i;
-        ServeResponse r = server.SubmitWait(
-            c.name, std::string(c.name) + "_q" + std::to_string(key));
+        ServeResponse r = server.Submit(
+            c.name, std::string(c.name) + "_q" + std::to_string(key)).get();
         if (!r.status.ok()) failures.fetch_add(1);
       }
     });
@@ -342,7 +341,7 @@ void MixedRoutedWorkload(bool smoke) {
   server.Shutdown();
   std::printf("%d requests across %zu routes = %.0f req/s\n\n", requests,
               costs.size(), rps);
-  server.PrintStats();
+  std::fputs(server.Stats().Render().c_str(), stdout);
 
   RoutedStatsSnapshot stats = server.Stats();
   ServerStatsSnapshot sum;
@@ -369,7 +368,7 @@ void MixedRoutedWorkload(bool smoke) {
 
 // ---- Adaptive micro-batching ------------------------------------------------
 
-/// One policy's run over an arrival pattern: client-observed latency,
+/// One window's run over an arrival pattern: client-observed latency,
 /// throughput, scheduling stats, and the full payload->output map for the
 /// bit-identity check.
 struct AdaptiveOutcome {
@@ -380,11 +379,12 @@ struct AdaptiveOutcome {
 };
 
 /// Serves `bursts` (groups of payloads submitted back to back, `gap` apart)
-/// through one device-bound shard under the given straggler-window policy.
-/// The arrival pattern is open-loop, so both policies face the same offered
-/// load and differ only in how long their collector waits for company.
-AdaptiveOutcome RunAdaptivePolicy(
-    BatchPolicy policy, const std::vector<std::vector<std::string>>& bursts,
+/// through one device-bound shard whose straggler window may adapt down to
+/// `min_delay` (min_delay == max_batch_delay is the fixed window). The
+/// arrival pattern is open-loop, so both windows face the same offered load
+/// and differ only in how long their collector waits for company.
+AdaptiveOutcome RunAdaptiveWindow(
+    microseconds min_delay, const std::vector<std::vector<std::string>>& bursts,
     microseconds gap) {
   auto session = std::make_shared<SyntheticSession>(
       microseconds(200), microseconds(20), SyntheticWait::kSleep);
@@ -393,8 +393,7 @@ AdaptiveOutcome RunAdaptivePolicy(
   config.max_batch_delay = microseconds(2000);
   config.queue_capacity = 4096;
   config.cache_capacity = 0;  // every request crosses the model
-  config.batch_policy = policy;
-  config.min_batch_delay = microseconds(100);
+  config.min_batch_delay = min_delay;
   config.target_queue_wait_ms = 5.0;
   ServeShard server(session, config);
 
@@ -434,10 +433,11 @@ AdaptiveOutcome RunAdaptivePolicy(
 void AdaptiveBatching(bool smoke) {
   rpt::PrintBanner("adaptive micro-batching: fixed vs adaptive window");
   std::printf(
-      "fixed policy always waits max_batch_delay (2000us) for stragglers; "
-      "adaptive\nretunes the window per batch from the decayed arrival rate "
-      "(bounds 100..2000us,\nqueue-wait budget 5ms). Same device-bound "
-      "session, same open-loop arrivals.\n\n");
+      "fixed (min_batch_delay == max_batch_delay == 2000us) always waits "
+      "the full\nwindow for stragglers; adaptive (min_batch_delay 100us) "
+      "retunes it per\nbatch from the decayed arrival rate (queue-wait "
+      "budget 5ms). Same\ndevice-bound session, same open-loop "
+      "arrivals.\n\n");
 
   struct Regime {
     const char* name;
@@ -477,18 +477,19 @@ void AdaptiveBatching(bool smoke) {
     regimes.push_back(std::move(sat));
   }
 
-  ReportTable table({"regime", "policy", "mean ms", "p95 ms", "req/s",
+  ReportTable table({"regime", "window", "mean ms", "p95 ms", "req/s",
                      "mean batch", "adjustments"});
   double low_fixed_ms = 0, low_adaptive_ms = 0;
   double sat_fixed_rps = 0, sat_adaptive_rps = 0;
   for (const Regime& regime : regimes) {
     const AdaptiveOutcome fixed =
-        RunAdaptivePolicy(BatchPolicy::kFixed, regime.bursts, regime.gap);
+        RunAdaptiveWindow(microseconds(2000), regime.bursts, regime.gap);
     const AdaptiveOutcome adaptive =
-        RunAdaptivePolicy(BatchPolicy::kAdaptive, regime.bursts, regime.gap);
+        RunAdaptiveWindow(microseconds(100), regime.bursts, regime.gap);
     table.AddRow({regime.name, "fixed", rpt::Fixed(fixed.mean_ms, 2),
                   rpt::Fixed(fixed.p95_ms, 2), rpt::Fixed(fixed.rps, 0),
-                  rpt::Fixed(fixed.mean_batch, 2), "0"});
+                  rpt::Fixed(fixed.mean_batch, 2),
+                  std::to_string(fixed.adjustments)});
     table.AddRow({regime.name, "adaptive", rpt::Fixed(adaptive.mean_ms, 2),
                   rpt::Fixed(adaptive.p95_ms, 2), rpt::Fixed(adaptive.rps, 0),
                   rpt::Fixed(adaptive.mean_batch, 2),
@@ -687,7 +688,7 @@ void WeightSharing(bool smoke) {
     RoutedServer server({std::move(spec)});
     bool identical = true;
     for (size_t i = 0; i < payloads.size(); ++i) {
-      ServeResponse r = server.SubmitWait("clean-shared", payloads[i]);
+      ServeResponse r = server.Submit("clean-shared", payloads[i]).get();
       if (!r.status.ok() || r.output != expected_scalar[i]) identical = false;
     }
     server.Shutdown();
@@ -937,13 +938,11 @@ void SemanticDedup(bool smoke) {
   strict.max_batch_delay = microseconds(1000);
   strict.queue_capacity = 1024;
   strict.cache_capacity = 512;
-  strict.exactness = rpt::Exactness::kStrict;
-  strict.inflight_coalescing = false;  // the A side: byte-exact LRU only
+  strict.exactness = rpt::Exactness::kStrict;  // the A side: exact bytes
 
   ServerConfig semantic = strict;
   semantic.exactness = rpt::Exactness::kNearDup;
   semantic.neardup_max_hamming = 12;
-  semantic.inflight_coalescing = true;
 
   auto session_a = std::make_shared<SyntheticSession>(kPerPass, kPerItem,
                                                       SyntheticWait::kSleep);
@@ -957,9 +956,9 @@ void SemanticDedup(bool smoke) {
                         "semantic (neardup+coalesce)", &stats_b);
 
   // The semantic layers must strictly reduce model work on this workload:
-  // surface variants collapse through normalized keys, near variants
-  // through the SimHash index, concurrent repeats through in-flight
-  // coalescing.
+  // surface variants collapse through normalized keys and near variants
+  // through the SimHash index (both sides coalesce exact in-flight
+  // repeats).
   Check(session_b->items() < session_a->items(),
         "semantic dedup ran fewer model items than strict");
   if (!smoke) {

@@ -15,9 +15,10 @@
 // tracing (plus the nn-stage exporter) and writes the spans as Chrome
 // trace_event JSON — open it in chrome://tracing or Perfetto.
 //
-// `--adaptive` switches every route to the adaptive straggler-window
-// policy (serve/adaptive.h): each shard's collector retunes its batching
-// delay from the observed arrival rate instead of always waiting the full
+// `--adaptive` sets min_batch_delay below max_batch_delay on every route,
+// which opens the straggler window's adaptive range (serve/adaptive.h):
+// each shard's collector retunes its batching delay between the two from
+// the observed arrival rate instead of always waiting the full
 // max_batch_delay. Outputs are identical either way; the stats report
 // gains an "adaptive delay adjustments" row showing the controller at
 // work.
@@ -163,9 +164,7 @@ int main(int argc, char** argv) {
   clean_config.max_batch_delay = std::chrono::microseconds(2000);
   clean_config.cache_capacity = 64;
   if (adaptive) {
-    clean_config.batch_policy = rpt::BatchPolicy::kAdaptive;
     clean_config.min_batch_delay = std::chrono::microseconds(100);
-    clean_config.target_queue_wait_ms = 5.0;
     std::printf("batching policy: adaptive (window 100..2000us, "
                 "5ms queue-wait budget)\n\n");
   }
@@ -199,13 +198,12 @@ int main(int argc, char** argv) {
         const auto& [name, expertise] = people[(user + q) % people.size()];
         Tuple query = {Value::String(name), Value::String(expertise),
                        Value::Null()};
-        ServeResponse cell = server.SubmitWait(
-            "clean", CleanerSession::FormatCellQuery(query, 2));
-        ServeResponse span = server.SubmitWait(
-            "extract", ExtractorSession::FormatQaQuery(
-                           "what is the city",
-                           name + " lives in " +
-                               (cell.status.ok() ? cell.output : "?")));
+        ServeResponse cell = server.Submit(
+            "clean", CleanerSession::FormatCellQuery(query, 2)).get();
+        const std::string qa = ExtractorSession::FormatQaQuery(
+            "what is the city",
+            name + " lives in " + (cell.status.ok() ? cell.output : "?"));
+        ServeResponse span = server.Submit("extract", qa).get();
         std::lock_guard<std::mutex> lock(print_mu);
         if (cell.status.ok()) {
           std::printf("user %d: clean(%s, %s, [M]) -> %-12s %s\n", user,
@@ -228,11 +226,11 @@ int main(int argc, char** argv) {
   for (auto& c : clients) c.join();
 
   // A route key the deployment does not serve fails fast with kNotFound.
-  ServeResponse unknown = server.SubmitWait("translate", "bonjour");
+  ServeResponse unknown = server.Submit("translate", "bonjour").get();
   std::printf("\nunknown route: %s\n\n", unknown.status.ToString().c_str());
 
   server.Shutdown();
-  server.PrintStats();
+  std::fputs(server.Stats().Render().c_str(), stdout);
 
   if (print_metrics) {
     std::printf("\n==== metrics (Prometheus text exposition) ====\n%s",

@@ -7,6 +7,11 @@ namespace rpt {
 
 namespace {
 
+// Smoothing of the arrival-rate EWMA and of the recent-high-queue-wait EWMA
+// (the controller's p95 proxy).
+constexpr double kRateAlpha = 0.1;
+constexpr double kWaitAlpha = 0.25;
+
 class SteadyClock : public Clock {
  public:
   std::chrono::steady_clock::time_point Now() const override {
@@ -48,7 +53,7 @@ double ArrivalRateEstimator::OnArrival(
   }
   const double next_rate =
       prev_rate == 0 ? instant_rps
-                     : (1 - alpha_) * prev_rate + alpha_ * instant_rps;
+                     : (1 - kRateAlpha) * prev_rate + kRateAlpha * instant_rps;
   rate_bits_.store(std::bit_cast<uint64_t>(next_rate),
                    std::memory_order_relaxed);
   return interval_ms;
@@ -99,20 +104,20 @@ std::chrono::microseconds AdaptiveBatchController::DecideDelay(
       } else {
         const double rows_to_fill =
             static_cast<double>(config_.max_batch_size - pending);
-        delay_us =
-            std::clamp(rows_to_fill * interarrival_us, min_us, max_us);
+        delay_us = std::min(rows_to_fill * interarrival_us, max_us);
       }
     }
   }
   // Budget clamp: the first request of the batch waits the whole window,
   // so the window itself must fit the queue-wait budget; and when the
   // observed high wait overshoots anyway (backlog the feedforward term
-  // cannot see), shrink proportionally.
+  // cannot see), shrink proportionally. The [min, max] clamp comes last, so
+  // min_delay stays a floor whatever the budget or the feedback.
   delay_us = std::min(delay_us, budget_us);
   if (high_wait_ms_ > config_.target_queue_wait_ms && high_wait_ms_ > 0) {
-    delay_us = std::max(
-        min_us, delay_us * config_.target_queue_wait_ms / high_wait_ms_);
+    delay_us *= config_.target_queue_wait_ms / high_wait_ms_;
   }
+  delay_us = std::clamp(delay_us, min_us, max_us);
   const int64_t decided = static_cast<int64_t>(delay_us);
   if (decided != effective_delay_us_.load(std::memory_order_relaxed)) {
     adjustments_.fetch_add(1, std::memory_order_relaxed);
@@ -121,17 +126,13 @@ std::chrono::microseconds AdaptiveBatchController::DecideDelay(
   return std::chrono::microseconds(decided);
 }
 
-void AdaptiveBatchController::OnBatchComplete(double max_queue_wait_ms,
-                                              size_t rows) {
-  (void)rows;
-  high_wait_ms_ = high_wait_ms_ == 0
-                      ? max_queue_wait_ms
-                      : (1 - config_.wait_ewma_alpha) * high_wait_ms_ +
-                            config_.wait_ewma_alpha * max_queue_wait_ms;
-}
-
-double AdaptiveBatchController::DecayedArrivalRate() const {
-  return arrivals_->RateAt(clock_->Now());
+void AdaptiveBatchController::OnBatchComplete(double max_queue_wait_ms) {
+  if (high_wait_ms_ == 0) {
+    high_wait_ms_ = max_queue_wait_ms;
+  } else {
+    high_wait_ms_ =
+        (1 - kWaitAlpha) * high_wait_ms_ + kWaitAlpha * max_queue_wait_ms;
+  }
 }
 
 }  // namespace rpt

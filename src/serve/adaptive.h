@@ -14,9 +14,8 @@
 //
 //     rows_to_fill = max_batch_size - pending          (0 when already full)
 //     fill_time    = rows_to_fill / arrival_rate       (feedforward)
-//     delay        = clamp(fill_time, min_delay, max_delay)
-//     delay        = min(delay, queue_wait_budget)     (first-in-batch pays
-//                                                       the whole delay as
+//     delay        = min(fill_time, max_delay,         (first-in-batch pays
+//                        queue_wait_budget)             the whole delay as
 //                                                       queue wait)
 //     if expected interarrival >= max_delay: delay = min_delay
 //                                                      (a straggler cannot
@@ -26,10 +25,14 @@
 //     if recent high queue wait > budget:              (feedback: backlog
 //         delay *= budget / recent_high_wait            the feedforward
 //                                                       term cannot see)
+//     delay        = clamp(delay, min_delay, max_delay) (last: min_delay is
+//                                                       a hard floor)
 //
 // So: low rate converges to min_delay, saturation runs full batches at
 // min_delay, and the mid-band picks the window that just fills a batch —
-// all while the p95-ish queue wait is held inside `target_queue_wait_ms`.
+// all while the p95-ish queue wait is held inside `target_queue_wait_ms`,
+// unless that budget is below min_delay. With min_delay == max_delay every
+// decision is max_delay: a fixed window is the empty adaptive range.
 //
 // The arrival rate is an EWMA over instantaneous rates, *decayed on read*:
 // after a burst goes quiet the EWMA alone would report the burst rate
@@ -73,8 +76,6 @@ const Clock* SystemClock();
 /// only smudge the smoothing); RateAt is safe from any thread.
 class ArrivalRateEstimator {
  public:
-  explicit ArrivalRateEstimator(double alpha = 0.1) : alpha_(alpha) {}
-
   /// Records one arrival and returns the interval since the previous one
   /// in milliseconds (0 on the first arrival or a clock tie).
   double OnArrival(std::chrono::steady_clock::time_point now);
@@ -85,7 +86,6 @@ class ArrivalRateEstimator {
   double RateAt(std::chrono::steady_clock::time_point now) const;
 
  private:
-  const double alpha_;
   std::atomic<int64_t> last_ns_{0};
   std::atomic<uint64_t> rate_bits_{0};  // bit-cast double, EWMA rps
 };
@@ -94,16 +94,15 @@ class ArrivalRateEstimator {
 /// ServeShard; standalone so the controller is testable without a server.
 struct AdaptiveConfig {
   size_t max_batch_size = 8;
-  /// Effective-delay bounds: the controller never waits less than
-  /// `min_delay` (lets a same-instant burst coalesce) nor more than
-  /// `max_delay` (the fixed policy's straggler window).
+  /// Effective-delay bounds, min_delay <= max_delay: the controller never
+  /// waits less than `min_delay` (lets a same-instant burst coalesce) nor
+  /// more than `max_delay` (the longest straggler window).
   std::chrono::microseconds min_delay{100};
   std::chrono::microseconds max_delay{2000};
-  /// Queue-wait budget: the chosen delay never exceeds it, and observed
-  /// high waits above it shrink the delay multiplicatively.
+  /// Queue-wait budget: the chosen delay never exceeds it (unless that would
+  /// go below `min_delay`), and observed high waits above it shrink the
+  /// delay multiplicatively.
   double target_queue_wait_ms = 5.0;
-  /// Smoothing for the recent-high-queue-wait EWMA (p95 proxy).
-  double wait_ewma_alpha = 0.25;
 };
 
 /// One shard's closed-loop delay controller. DecideDelay/OnBatchComplete
@@ -120,10 +119,10 @@ class AdaptiveBatchController {
   std::chrono::microseconds DecideDelay(size_t pending);
 
   /// Feeds back one completed batch: the largest queue wait it contained
-  /// (the p95-proxy signal the budget clamp reacts to) and its row count.
-  void OnBatchComplete(double max_queue_wait_ms, size_t rows);
+  /// (the p95-proxy signal the budget clamp reacts to).
+  void OnBatchComplete(double max_queue_wait_ms);
 
-  /// Last decision (starts at max_delay, the fixed policy's behavior).
+  /// Last decision (starts at max_delay).
   std::chrono::microseconds effective_delay() const {
     return std::chrono::microseconds(
         effective_delay_us_.load(std::memory_order_relaxed));
@@ -133,8 +132,6 @@ class AdaptiveBatchController {
   uint64_t adjustments() const {
     return adjustments_.load(std::memory_order_relaxed);
   }
-
-  double DecayedArrivalRate() const;
 
   const AdaptiveConfig& config() const { return config_; }
 

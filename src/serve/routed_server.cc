@@ -1,6 +1,5 @@
 #include "serve/routed_server.h"
 
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -143,12 +142,6 @@ void RoutedServer::SubmitAsync(const std::string& route, std::string input,
   rt.shards[shard]->SubmitAsync(std::move(input), std::move(done), timeout);
 }
 
-ServeResponse RoutedServer::SubmitWait(const std::string& route,
-                                       std::string input,
-                                       std::chrono::milliseconds timeout) {
-  return Submit(route, std::move(input), timeout).get();
-}
-
 void RoutedServer::Shutdown() {
   // Stop intake everywhere first so no route keeps feeding while its
   // neighbors drain, then join shard by shard (Shutdown is idempotent).
@@ -179,10 +172,6 @@ RoutedStatsSnapshot RoutedServer::Stats() const {
   out.unknown_route = unknown_route_.load(std::memory_order_relaxed);
   out.fallback_dispatches = fallbacks_.load(std::memory_order_relaxed);
   return out;
-}
-
-void RoutedServer::PrintStats() const {
-  std::fputs(Stats().Render().c_str(), stdout);
 }
 
 std::string RoutedServer::MetricsText() const {

@@ -12,8 +12,8 @@
 //     completes immediately with kNotFound.
 //  2. Hash: within the pool, the payload's stable FNV-1a hash picks the
 //     shard (util/hash.h). Stable means repeats of the same payload land on
-//     the same shard, so each shard's LRU cache keeps absorbing them, and
-//     within-batch coalescing keeps seeing its duplicates. Routes whose
+//     the same shard, so each shard's LRU cache and in-flight map keep
+//     absorbing them. Routes whose
 //     config relaxes exactness below kStrict hash the *normalized* payload
 //     (util/simhash.h) so surface variants — stray whitespace, case,
 //     attribute order — also converge on one shard; per-shard dedup state
@@ -144,19 +144,11 @@ class RoutedServer {
       const std::string& route, std::string input, ServeCallback done,
       std::chrono::milliseconds timeout = std::chrono::milliseconds::max());
 
-  /// Submit + wait, for synchronous callers.
-  ServeResponse SubmitWait(
-      const std::string& route, std::string input,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds::max());
-
   /// Stops intake on every shard, drains them, joins their collectors.
   /// Idempotent.
   void Shutdown();
 
   RoutedStatsSnapshot Stats() const;
-
-  /// Renders Stats() and prints to stdout.
-  void PrintStats() const;
 
   /// Prometheus text exposition of the process-wide metrics registry plus
   /// this server's shard and dispatch series (see the header comment).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -25,7 +24,7 @@ double ElapsedMs(std::chrono::steady_clock::time_point from,
 
 /// Appends one span to the global tracer (which drops it when disabled).
 /// `link_trace`/`link_span` carry an optional follows-from link to a span
-/// in another request's trace (coalesced duplicates link to the
+/// in another request's trace (in-flight joiners link to the
 /// representative execution they rode).
 void RecordSpan(const char* name, uint64_t trace_id, uint64_t span_id,
                 uint64_t parent_id, std::chrono::steady_clock::time_point begin,
@@ -37,6 +36,17 @@ void RecordSpan(const char* name, uint64_t trace_id, uint64_t span_id,
 
 Status ShutDownStatus() {
   return Status::Unavailable("server is shut down, not accepting work");
+}
+
+/// The controller's bounds for one shard. An unset (or too large)
+/// min_batch_delay collapses the range to max_batch_delay: a fixed window.
+AdaptiveConfig ControllerConfig(const ServerConfig& config) {
+  AdaptiveConfig adaptive;
+  adaptive.max_batch_size = config.max_batch_size;
+  adaptive.min_delay = std::min(config.min_batch_delay, config.max_batch_delay);
+  adaptive.max_delay = config.max_batch_delay;
+  adaptive.target_queue_wait_ms = config.target_queue_wait_ms;
+  return adaptive;
 }
 
 }  // namespace
@@ -128,9 +138,9 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
                        ServerConfig config)
     : session_(std::move(session)),
       config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock.get() : SystemClock()),
       queue_(config_.queue_capacity),
       cache_(config_.cache_capacity),
+      controller_(ControllerConfig(config_), SystemClock(), &arrivals_),
       // Reservoir sampling seeded from the shard name: bounded memory with
       // run-reproducible sampling decisions.
       latencies_ms_(LatencyReservoir::kDefaultCapacity,
@@ -138,22 +148,8 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
   RPT_CHECK(session_ != nullptr);
   RPT_CHECK_GE(config_.max_batch_size, 1u);
   if (config_.exactness == Exactness::kNearDup && config_.cache_capacity > 0) {
-    const size_t index_capacity = config_.neardup_index_capacity > 0
-                                      ? config_.neardup_index_capacity
-                                      : config_.cache_capacity;
     RPT_CHECK_GE(config_.neardup_max_hamming, 0);
-    neardup_index_ = std::make_unique<SimHashIndex>(index_capacity);
-  }
-  if (config_.batch_policy == BatchPolicy::kAdaptive) {
-    AdaptiveConfig adaptive;
-    adaptive.max_batch_size = config_.max_batch_size;
-    adaptive.min_delay = config_.min_batch_delay;
-    adaptive.max_delay = config_.max_batch_delay;
-    adaptive.target_queue_wait_ms = config_.target_queue_wait_ms;
-    RPT_CHECK(adaptive.min_delay <= adaptive.max_delay)
-        << "min_batch_delay must not exceed max_batch_delay";
-    controller_ = std::make_unique<AdaptiveBatchController>(adaptive, clock_,
-                                                            &arrivals_);
+    neardup_index_ = std::make_unique<SimHashIndex>(config_.cache_capacity);
   }
   collector_ = std::thread([this] { CollectorLoop(); });
 }
@@ -180,9 +176,9 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
   p.done = std::move(done);
   p.submitted = std::chrono::steady_clock::now();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // Arrival accounting uses the decision clock so the controller and the
-  // exported rate gauge see one consistent arrival process.
-  const double interval_ms = arrivals_.OnArrival(clock_->Now());
+  // Arrivals are stamped on the steady clock the controller decides by, so
+  // the controller and the exported rate gauge see one arrival process.
+  const double interval_ms = arrivals_.OnArrival(p.submitted);
   if (interval_ms > 0) arrival_interval_ms_.Observe(interval_ms);
 
   // Trace stamp: inherit the caller's trace (RoutedServer::Submit opens
@@ -255,7 +251,7 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
   if (p.has_deadline) p.deadline = p.submitted + timeout;
 
   PushResult pushed;
-  if (config_.inflight_coalescing) {
+  {
     // The map insert and the queue push are one atomic step under
     // inflight_mu_ (lock order: inflight before the queue's internal
     // mutex, never the reverse), so an entry in the map always has a live
@@ -279,8 +275,6 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
     }
     pushed = queue_.TryPush(std::move(p));
     if (pushed != PushResult::kOk) inflight_.erase(it);
-  } else {
-    pushed = queue_.TryPush(std::move(p));
   }
   if (pushed != PushResult::kOk) {
     // The queue distinguishes full from closed: a Shutdown() racing this
@@ -336,24 +330,17 @@ void ServeShard::CollectorLoop() {
   // Every forward pass this thread runs dispatches under the shard's
   // configured backend; other threads are unaffected.
   ScopedComputeBackend backend_scope(config_.compute_backend);
+  // The window is decided once the first request of the batch is in hand
+  // (not before blocking), so the decision sees the arrival rate and queue
+  // depth of the batch actually forming. The callback runs under the queue
+  // lock and touches only the controller.
+  const auto decide = [this](size_t pending) {
+    return controller_.DecideDelay(pending);
+  };
   std::vector<Pending> batch;
   for (;;) {
     batch.clear();
-    bool alive;
-    if (controller_ != nullptr) {
-      // The window is decided once the first request of the batch is in
-      // hand (not before blocking), so the decision sees the arrival rate
-      // and queue depth of the batch actually forming. The callback runs
-      // under the queue lock and touches only the controller.
-      const auto decide = [this](size_t pending) {
-        return controller_->DecideDelay(pending);
-      };
-      alive = queue_.PopBatchWith(&batch, config_.max_batch_size, decide);
-    } else {
-      alive = queue_.PopBatch(&batch, config_.max_batch_size,
-                              config_.max_batch_delay);
-    }
-    if (!alive) {
+    if (!queue_.PopBatch(&batch, config_.max_batch_size, decide)) {
       return;  // closed and drained
     }
     CompleteBatch(&batch);
@@ -402,40 +389,20 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
     CompleteJoiners(TakeJoiners(KeyOf(p)), failed, outcome, now, 0, 0);
     Finish(p, std::move(failed), outcome, now);
   }
-  if (controller_ != nullptr) {
-    // Close the loop: the observed high queue wait is the signal the
-    // budget clamp reacts to on the next decision.
-    controller_->OnBatchComplete(max_queue_wait_ms, live.size());
-  }
+  // Close the loop: the observed high queue wait is the signal the budget
+  // clamp reacts to on the next decision.
+  controller_.OnBatchComplete(max_queue_wait_ms);
   if (live.empty()) return;
 
-  // Within-batch coalescing: payloads with one dedup key ride one model
-  // execution and the single output fans out to every duplicate's
-  // callback. (With in-flight coalescing on, duplicates normally attach
-  // upstream and never co-occupy a batch; this stays as the guarantee for
-  // the coalescing-off configuration and as defense in depth.)
-  std::vector<std::string> inputs;        // unique payloads, first-seen order
-  std::vector<size_t> slot(live.size());  // live index -> inputs index
-  std::vector<bool> is_dupe(live.size(), false);
-  std::vector<const Pending*> slot_rep;  // first-seen request per slot
-  std::unordered_map<std::string_view, size_t> first_seen;
-  first_seen.reserve(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    const auto [it, inserted] =
-        first_seen.try_emplace(KeyOf(*live[i]), inputs.size());
-    if (inserted) {
-      inputs.push_back(live[i]->input);
-      slot_rep.push_back(live[i]);
-    } else {
-      is_dupe[i] = true;
-    }
-    slot[i] = it->second;
-  }
-
-  // The collector runs the pass under the first live request's execute-
-  // span context, so model-layer stage spans (encode, prefill, decode
-  // steps — profile/perf_hooks.h via obs/stage_exporter.h) nest inside
-  // one representative request's trace.
+  // In-flight coalescing keeps each dedup key to one queued request, so
+  // the live rows are distinct and output i answers live[i]. The collector
+  // runs the pass under the first live request's execute-span context, so
+  // model-layer stage spans (encode, prefill, decode steps —
+  // profile/perf_hooks.h via obs/stage_exporter.h) nest inside one
+  // representative request's trace.
+  std::vector<std::string> inputs;
+  inputs.reserve(live.size());
+  for (const Pending* p : live) inputs.push_back(p->input);
   const uint64_t rep_exec_span =
       live[0]->trace_id != 0 ? tracer.NewSpanId() : 0;
   const auto run_begin = std::chrono::steady_clock::now();
@@ -450,78 +417,63 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
   execute_ms_.Observe(ElapsedMs(run_begin, done));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++batch_hist_[inputs.size()];
+    ++batch_hist_[live.size()];
   }
-  // The cache is populated under each slot's dedup key *before* its
+  // The cache is populated under each request's dedup key *before* its
   // in-flight entry is resolved: a concurrent submit either attaches to
   // the entry (and is completed below) or, once the entry is gone, finds
   // the response already cached — no window re-runs the pass.
-  for (size_t j = 0; j < inputs.size(); ++j) {
-    const std::string slot_key(KeyOf(*slot_rep[j]));
-    cache_.Put(slot_key, outputs[j]);
+  std::vector<std::vector<Request>> joiners(live.size());
+  uint64_t folded = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    const std::string key(KeyOf(*live[i]));
+    cache_.Put(key, outputs[i]);
     if (neardup_index_ != nullptr) {
-      const SimHash128 signature = ComputeSimHash(slot_key);
+      const SimHash128 signature = ComputeSimHash(key);
       std::lock_guard<std::mutex> lock(neardup_mu_);
-      neardup_index_->Add(signature, slot_key);
+      neardup_index_->Add(signature, key);
     }
+    joiners[i] = TakeJoiners(key);
+    folded += joiners[i].size();
   }
-  std::vector<std::vector<Request>> slot_joiners(inputs.size());
-  uint64_t folded = live.size() - inputs.size();
-  for (size_t j = 0; j < inputs.size(); ++j) {
-    slot_joiners[j] = TakeJoiners(KeyOf(*slot_rep[j]));
-    folded += slot_joiners[j].size();
-  }
-  // Every duplicate (batch-mate or in-flight joiner) rode another
-  // request's execution; with the cache on its submit-time miss thereby
-  // becomes a hit (Stats() derives hits from this count), keeping hits +
-  // misses == one lookup outcome per admitted request. Release pairs with
-  // Stats()'s acquire, as for the outcome counters.
+  // Every joiner rode another request's execution; with the cache on its
+  // submit-time miss thereby becomes a hit (Stats() derives hits from this
+  // count), keeping hits + misses == one lookup outcome per admitted
+  // request. Release pairs with Stats()'s acquire, as for the outcome
+  // counters.
   coalesced_.fetch_add(folded, std::memory_order_release);
 
-  // First execute-span id per unique payload: coalesced duplicates carry
-  // a follows-from link to the execution they actually rode, which lives
-  // in the representative request's trace.
-  std::vector<uint64_t> slot_exec_trace(inputs.size(), 0);
-  std::vector<uint64_t> slot_exec_span(inputs.size(), 0);
+  const int64_t rows = static_cast<int64_t>(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     const Pending& p = *live[i];
+    uint64_t exec_span = 0;
     if (p.trace_id != 0) {
-      // Per-request view of the shared batch: formation (validation +
-      // coalescing) and execution; Finish adds the submit->completion root.
+      // Per-request view of the shared batch: formation (validation) and
+      // execution; Finish adds the submit->completion root.
       RecordSpan("serve.batch", p.trace_id, tracer.NewSpanId(), p.root_span,
                  now, run_begin);
-      const uint64_t exec_span = i == 0 ? rep_exec_span : tracer.NewSpanId();
-      if (!is_dupe[i]) {
-        slot_exec_trace[slot[i]] = p.trace_id;
-        slot_exec_span[slot[i]] = exec_span;
-      }
+      exec_span = i == 0 ? rep_exec_span : tracer.NewSpanId();
       RecordSpan("serve.execute", p.trace_id, exec_span, p.root_span,
-                 run_begin, done, is_dupe[i] ? slot_exec_trace[slot[i]] : 0,
-                 is_dupe[i] ? slot_exec_span[slot[i]] : 0);
+                 run_begin, done);
     }
     ServeResponse r;
-    r.output = outputs[slot[i]];
-    r.batch_size = static_cast<int64_t>(inputs.size());
-    r.cache_hit = is_dupe[i];
+    r.output = outputs[i];
+    r.batch_size = rows;
     Finish(p, std::move(r), Outcome::kCompleted, done);
-  }
-  // In-flight joiners: the cross-batch counterpart of the fan-out above.
-  // Each joiner gets a copy of its slot's output and a follows-from link
-  // to the execution span it rode (recorded in the representative's
-  // trace, possibly batches ago from the joiner's point of view).
-  for (size_t j = 0; j < inputs.size(); ++j) {
-    if (slot_joiners[j].empty()) continue;
+    if (joiners[i].empty()) continue;
+    // Each joiner gets a copy of the output and a follows-from link to the
+    // execution span it rode (in the representative's trace, possibly
+    // batches ago from the joiner's point of view).
     ServeResponse base;
-    base.output = outputs[j];
-    base.batch_size = static_cast<int64_t>(inputs.size());
+    base.output = std::move(outputs[i]);
+    base.batch_size = rows;
     base.cache_hit = true;
-    CompleteJoiners(std::move(slot_joiners[j]), base, Outcome::kCompleted,
-                    done, slot_exec_trace[j], slot_exec_span[j]);
+    CompleteJoiners(std::move(joiners[i]), base, Outcome::kCompleted, done,
+                    p.trace_id, exec_span);
   }
 }
 
 std::vector<ServeShard::Request> ServeShard::TakeJoiners(std::string_view key) {
-  if (!config_.inflight_coalescing) return {};
   std::lock_guard<std::mutex> lock(inflight_mu_);
   const auto it = inflight_.find(std::string(key));
   if (it == inflight_.end()) return {};
@@ -568,15 +520,14 @@ ServerStatsSnapshot ServeShard::Stats() const {
   s.inflight_coalesced = inflight_coalesced_.load(std::memory_order_relaxed);
   s.neardup_hits = neardup_hits_.load(std::memory_order_relaxed);
   // Hits are read before lookups, and a hit's lookup is counted before the
-  // hit, so lookups >= hits. The one exception is a batch-mate duplicate
-  // with inflight_coalescing off: its submit thread counts the lookup just
-  // after its push, and the collector may fold it first — hence the clamp.
+  // hit (a joiner's under inflight_mu_, before TakeJoiners can fold it), so
+  // lookups >= hits; the clamp only guards the unsigned subtraction.
   s.cache_hits = Count(Outcome::kCacheHit) +
                  (config_.cache_capacity > 0 ? s.coalesced : 0);
   const uint64_t lookups = cache_lookups_.load(std::memory_order_relaxed);
   s.cache_misses = lookups > s.cache_hits ? lookups - s.cache_hits : 0;
   s.queue_depth = queue_.size();
-  s.adapt_adjustments = controller_ != nullptr ? controller_->adjustments() : 0;
+  s.adapt_adjustments = controller_.adjustments();
   std::vector<double> lats;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -621,10 +572,9 @@ void ServeShard::AppendMetrics(std::vector<obs::MetricSnapshot>* out) const {
   add(kCounter, "rpt_serve_cache_lookups_total", s.cache_hits + s.cache_misses,
       "Response-cache lookup outcomes (hits + misses)");
   add(kCounter, "rpt_serve_cache_hits_total", s.cache_hits,
-      "Submit-time LRU hits plus in-batch coalesced duplicates");
+      "Submit-time LRU hits plus coalesced in-flight joiners");
   add(kCounter, "rpt_serve_coalesced_total", s.coalesced,
-      "Duplicates folded into one execution (in-batch plus in-flight "
-      "joiners)");
+      "In-flight joiners folded into an execution that ran");
   add(kCounter, "rpt_serve_inflight_coalesced_total", s.inflight_coalesced,
       "Requests attached to an execution already queued or running");
   add(kCounter, "rpt_serve_neardup_hits_total", s.neardup_hits,
@@ -635,12 +585,13 @@ void ServeShard::AppendMetrics(std::vector<obs::MetricSnapshot>* out) const {
       "Adaptive-batching decisions that changed the effective delay");
   add(kGauge, "rpt_serve_queue_depth", s.queue_depth,
       "Requests waiting in the shard queue");
-  add(kGauge, "rpt_serve_arrival_rate_rps", arrivals_.RateAt(clock_->Now()),
+  add(kGauge, "rpt_serve_arrival_rate_rps",
+      arrivals_.RateAt(std::chrono::steady_clock::now()),
       "EWMA request arrival rate in requests per second, decayed by idle "
       "time");
   add(kGauge, "rpt_serve_effective_delay_us", effective_batch_delay().count(),
       "Straggler window the collector is currently applying, in "
-      "microseconds (max_batch_delay under the fixed policy)");
+      "microseconds (max_batch_delay when the window is fixed)");
   histogram("rpt_serve_queue_wait_ms", queue_wait_ms_,
             "Time from enqueue to micro-batch pickup in milliseconds");
   histogram("rpt_serve_execute_ms", execute_ms_,
@@ -674,11 +625,6 @@ void ServeShard::AppendMetrics(std::vector<obs::MetricSnapshot>* out) const {
 std::vector<double> ServeShard::RawLatencies() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return latencies_ms_.samples();
-}
-
-std::chrono::microseconds ServeShard::effective_batch_delay() const {
-  return controller_ != nullptr ? controller_->effective_delay()
-                                : config_.max_batch_delay;
 }
 
 }  // namespace rpt

@@ -13,13 +13,14 @@
 // Validate rejects complete with that status; Shutdown() stops intake,
 // drains everything accepted, and joins the collector.
 //
-// With `batch_policy = kAdaptive` the straggler window is no longer the
-// fixed `max_batch_delay`: an AdaptiveBatchController (serve/adaptive.h)
-// re-decides the effective delay for every batch on the collector thread,
-// from the decayed EWMA arrival rate and the recent observed queue wait,
-// bounded by [min_batch_delay, max_batch_delay] and the
-// `target_queue_wait_ms` budget. Outputs are unaffected — the policy only
-// moves *when* a batch closes, never what the model computes.
+// The straggler window is decided per batch, on the collector thread, by
+// the shard's AdaptiveBatchController (serve/adaptive.h) from the decayed
+// EWMA arrival rate and the recent observed queue wait, bounded by
+// [min_batch_delay, max_batch_delay] and the `target_queue_wait_ms`
+// budget. By default that range is empty (min_batch_delay is unset), so
+// every batch waits exactly `max_batch_delay`; setting a lower
+// min_batch_delay lets the window adapt. Outputs are unaffected — the
+// window only moves *when* a batch closes, never what the model computes.
 //
 // Accounting: the shard keeps one record per quantity — counters as shard
 // atomics (they count in every build, -DRPT_OBS_OFF included), batch sizes
@@ -38,12 +39,7 @@
 //  * every response carries the submit→completion latency, cache hits
 //    included, so client-side latency accounting is consistent across hit
 //    and miss paths; the latency histogram sees every admitted request,
-//    the Stats() reservoir only Ok model-path answers;
-//  * identical payloads inside one micro-batch are coalesced into a single
-//    model execution whose output fans out to every duplicate. Duplicates
-//    count as `coalesced` and (when the cache is enabled) convert their
-//    submit-time miss into a hit, preserving the invariant that each
-//    admitted request contributes exactly one lookup outcome.
+//    the Stats() reservoir only Ok model-path answers.
 //
 // Semantic dedup (in-flight coalescing + near-duplicate cache):
 //
@@ -52,17 +48,21 @@
 // casing, reordered attributes) arrive constantly. Three layers absorb
 // them, gated by `ServerConfig::exactness`:
 //
-//  * In-flight coalescing (`inflight_coalescing`, on by default, exactness-
-//    independent — matching is by dedup key, which under kStrict is the
-//    exact payload, so outputs stay bit-identical): a request whose key
-//    matches one already queued *or executing* attaches an extra completion
-//    callback to the pending entry instead of enqueuing a second forward
-//    pass. Joiners share the fate of the in-flight execution: they inherit
-//    its result (or its deadline/validation failure) and never extend its
-//    deadline — a late joiner's own timeout is not consulted once attached.
-//    Joiners count as `inflight_coalesced` (and fold into `coalesced` when
-//    the execution completes), convert their submit-time miss into a hit,
-//    and carry a follows-from trace link to the execution they rode.
+//  * In-flight coalescing (always on, exactness-independent — matching is
+//    by dedup key, which under kStrict is the exact payload, so outputs
+//    stay bit-identical): a request whose key matches one already queued
+//    *or executing* attaches an extra completion callback to the pending
+//    entry instead of enqueuing a second forward pass. Joiners share the
+//    fate of the in-flight execution: they inherit its result (or its
+//    deadline/validation failure) and never extend its deadline — a late
+//    joiner's own timeout is not consulted once attached. Joiners count as
+//    `inflight_coalesced` (and fold into `coalesced` when the execution
+//    completes), convert their submit-time miss into a hit (when the cache
+//    is enabled, preserving the invariant that each admitted request
+//    contributes exactly one lookup outcome), and carry a follows-from
+//    trace link to the execution they rode. Because a key's entry lives
+//    until that execution's response is cached or its failure decided, no
+//    two requests in one micro-batch ever share a dedup key.
 //  * Normalized keying (kNormalized): the response cache, the in-flight
 //    map, and the cross-shard routing hash key on
 //    NormalizeForDedup(payload, `normalize`) — trim/case-fold/attribute-
@@ -123,22 +123,12 @@ enum class Exactness {
   kNearDup,
 };
 
-/// How the collector sizes each micro-batch's straggler window.
-enum class BatchPolicy {
-  /// Always wait up to `max_batch_delay` — the original behavior, and the
-  /// default.
-  kFixed,
-  /// Retune the effective delay per batch from the observed arrival rate
-  /// and queue wait (serve/adaptive.h), within
-  /// [min_batch_delay, max_batch_delay] and the queue-wait budget.
-  kAdaptive,
-};
-
 struct ServerConfig {
   /// Largest micro-batch handed to the session in one forward pass.
   size_t max_batch_size = 8;
   /// How long the collector waits for stragglers after the first request
-  /// of a batch arrives (kFixed: always; kAdaptive: upper bound).
+  /// of a batch arrives: always, unless min_batch_delay is set below it, in
+  /// which case this is the adaptive window's upper bound.
   std::chrono::microseconds max_batch_delay{2000};
   /// Pending-request bound; Submit rejects with kUnavailable beyond it.
   size_t queue_capacity = 256;
@@ -147,19 +137,15 @@ struct ServerConfig {
   /// Value of the `server` label on this shard's series (AppendMetrics).
   /// RoutedServer names its shards "<route>#<index>".
   std::string name = "serve";
-  /// Straggler-window policy. kFixed preserves pre-adaptive scheduling
-  /// byte for byte.
-  BatchPolicy batch_policy = BatchPolicy::kFixed;
-  /// kAdaptive only: lower bound of the effective delay (still lets a
-  /// same-instant burst coalesce into one pass).
-  std::chrono::microseconds min_batch_delay{100};
-  /// kAdaptive only: queue-wait budget in milliseconds; the controller
-  /// keeps the p95-ish observed wait inside it.
+  /// Lower bound of the adaptive straggler window (a short floor still
+  /// lets a same-instant burst coalesce into one pass). Values at or above
+  /// max_batch_delay — including this unset default — pin the window to
+  /// max_batch_delay.
+  std::chrono::microseconds min_batch_delay = std::chrono::microseconds::max();
+  /// Queue-wait budget in milliseconds for an adaptive window; the
+  /// controller keeps the p95-ish observed wait inside it, never going
+  /// below min_batch_delay.
   double target_queue_wait_ms = 5.0;
-  /// Time source for batching decisions; null means SystemClock().
-  /// Tests inject a fake Clock (serve/adaptive.h) to drive the controller
-  /// deterministically.
-  std::shared_ptr<const Clock> clock;
   /// Compute backend this shard's collector runs forward passes under
   /// (nn/backend.h). kAuto inherits the process-wide dispatch policy;
   /// cpu-scalar / cpu-simd pin kernel dispatch for the collector thread
@@ -178,16 +164,9 @@ struct ServerConfig {
   /// kStrict).
   NormalizeSpec normalize;
   /// kNearDup only: serve a cached near-duplicate when its SimHash is
-  /// within this many bits (of 128) of the request's.
+  /// within this many bits (of 128) of the request's. The LSH index keeps
+  /// as many entries as the cache.
   int neardup_max_hamming = 6;
-  /// kNearDup only: entries the LSH index retains (ring-evicted). 0 sizes
-  /// it to cache_capacity.
-  size_t neardup_index_capacity = 0;
-  /// Attach requests whose dedup key matches an in-flight execution to
-  /// that execution instead of enqueuing a second forward pass. Safe at
-  /// every exactness level (kStrict matches exact bytes only); off only
-  /// for A/B measurement.
-  bool inflight_coalescing = true;
 };
 
 /// Outcome of one request.
@@ -195,7 +174,8 @@ struct ServeResponse {
   Status status;          // Ok, Unavailable (rejected), DeadlineExceeded
   std::string output;     // session output; empty unless status.ok()
   double latency_ms = 0;  // submit -> completion, as seen by the server
-  bool cache_hit = false;  // served from the LRU, or coalesced in-batch
+  bool cache_hit = false;  // served from the LRU, or joined an in-flight
+                           // execution
   int64_t batch_size = 0;  // rows of the forward pass this rode in (0 if
                            // it never reached the model)
 };
@@ -204,20 +184,21 @@ struct ServeResponse {
 struct ServerStatsSnapshot {
   uint64_t submitted = 0;
   uint64_t completed = 0;  // completed Ok through the model path
-                           // (coalesced duplicates included)
+                           // (in-flight joiners included)
   uint64_t rejected = 0;   // queue-full backpressure
   uint64_t shutdown_rejected = 0;  // submitted after Shutdown()
   uint64_t expired = 0;            // deadline passed while queued
   uint64_t invalid = 0;    // failed session Validate (kInvalidArgument)
-  uint64_t cache_hits = 0;  // submit-time LRU hits + coalesced duplicates
+  uint64_t cache_hits = 0;  // submit-time LRU hits + coalesced joiners
   uint64_t cache_misses = 0;
-  uint64_t coalesced = 0;  // duplicates folded into one execution
-                           // (in-batch + in-flight joiners)
+  uint64_t coalesced = 0;  // in-flight joiners folded into an execution
+                           // that ran
   uint64_t inflight_coalesced = 0;  // requests attached to an execution
                                     // already queued or running
   uint64_t neardup_hits = 0;  // misses served from a SimHash near-duplicate
   uint64_t batches = 0;       // forward passes executed
-  uint64_t adapt_adjustments = 0;  // adaptive-delay changes (0 under kFixed)
+  uint64_t adapt_adjustments = 0;  // straggler-window changes (0 when the
+                                   // window is fixed)
   size_t queue_depth = 0;  // at snapshot time
   double mean_batch_size = 0;  // forward-pass rows / forward passes
   /// forward-pass rows -> number of passes with exactly that many rows.
@@ -294,9 +275,11 @@ class ServeShard {
   /// lived), for cross-shard percentile aggregation.
   std::vector<double> RawLatencies() const;
 
-  /// The adaptive controller's current straggler window; `max_batch_delay`
-  /// under kFixed.
-  std::chrono::microseconds effective_batch_delay() const;
+  /// The straggler window the collector is currently applying;
+  /// `max_batch_delay` whenever the window is fixed.
+  std::chrono::microseconds effective_batch_delay() const {
+    return controller_.effective_delay();
+  }
 
   /// Requests currently queued (excludes the batch in flight). The routed
   /// front-end reads this for saturation/least-loaded decisions.
@@ -359,7 +342,7 @@ class ServeShard {
   void CollectorLoop();
   void CompleteBatch(std::vector<Pending>* batch);
   /// Removes `key`'s in-flight entry and returns its joiners (empty when
-  /// coalescing is off or nobody attached).
+  /// nobody attached).
   std::vector<Request> TakeJoiners(std::string_view key);
   /// Finishes `joiners` with copies of a decided response (status or
   /// output shared with the representative) as `outcome`. A non-zero
@@ -372,7 +355,6 @@ class ServeShard {
 
   std::shared_ptr<ModelSession> session_;
   ServerConfig config_;
-  const Clock* clock_;  // config_.clock or SystemClock(); never null
   BoundedQueue<Pending> queue_;
   // Keyed by dedup key (exact payload under kStrict, normalized payload
   // otherwise).
@@ -388,16 +370,16 @@ class ServeShard {
   std::mutex neardup_mu_;
   std::unique_ptr<SimHashIndex> neardup_index_;
   // Arrival estimator behind the rpt_serve_arrival_rate_rps gauge (decayed
-  // on read) and, under kAdaptive, the controller's delay decisions.
+  // on read) and the controller's delay decisions.
   ArrivalRateEstimator arrivals_;
-  std::unique_ptr<AdaptiveBatchController> controller_;  // kAdaptive only
+  AdaptiveBatchController controller_;  // reads arrivals_; collector-driven
   std::atomic<bool> accepting_{true};
   std::once_flag shutdown_once_;
 
   // The accounting record. Counters are atomics bumped on client and
   // collector threads; cache hits are the kCacheHit outcomes plus (with
-  // the cache on) `coalesced_`. The batch-size map and the reservoir are
-  // collector-written under stats_mu_.
+  // the cache on) `coalesced_`, the folded joiners. The batch-size map and
+  // the reservoir are collector-written under stats_mu_.
   std::atomic<uint64_t> submitted_{0};
   std::array<std::atomic<uint64_t>, kOutcomes> outcomes_{};
   std::atomic<uint64_t> cache_lookups_{0};  // hits + enqueued misses

@@ -6,10 +6,9 @@
 // queue from a closed one so the caller can report shutdown correctly),
 // one or more collector threads drain with PopBatch, which blocks for the
 // first element and then gathers more until either `max_n` elements are
-// collected or `max_wait` elapses. PopBatchWith defers the choice of
-// `max_wait` to a callback invoked once the first element is in hand, so
-// an adaptive scheduler can size the straggler window from the live queue
-// state (serve/adaptive.h).
+// collected or the straggler window elapses. The window is chosen by a
+// callback invoked once the first element is in hand, so the scheduler can
+// size it from the live queue state (serve/adaptive.h).
 //
 // Close() stops producers but lets consumers drain what is already queued —
 // PopBatch keeps returning elements until the queue is empty, then reports
@@ -26,7 +25,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -58,36 +56,17 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Pops one element, waiting up to `timeout`. Empty optional on timeout or
-  /// on a closed-and-drained queue.
-  std::optional<T> PopWait(std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    not_empty_.wait_until(lock, deadline,
-                          [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T out = std::move(items_.front());
-    items_.pop_front();
-    return out;
-  }
-
   /// Blocks until at least one element is available (or the queue is closed
   /// and empty), then keeps draining until `max_n` elements are gathered or
-  /// `max_wait` has elapsed since the first element was taken. Appends to
-  /// `*out` and returns true, or returns false when closed and drained.
-  bool PopBatch(std::vector<T>* out, size_t max_n,
-                std::chrono::microseconds max_wait) {
-    return PopBatchWith(out, max_n,
-                        [max_wait](size_t) { return max_wait; });
-  }
-
-  /// PopBatch with the straggler window decided late: once the first
-  /// element(s) have been taken, `wait_for(pending)` is called exactly once
-  /// with the number of elements available at that instant (already in
-  /// `*out` plus still queued) and returns the `max_wait` to apply. Called
-  /// with the queue lock held — it must not call back into this queue.
+  /// the straggler window has elapsed since the first element was taken.
+  /// The window is decided late: once the first element(s) have been taken,
+  /// `wait_for(pending)` is called exactly once with the number of elements
+  /// available at that instant (already in `*out` plus still queued) and
+  /// returns the window to apply. It is called with the queue lock held, so
+  /// it must not call back into this queue. Appends to `*out` and returns
+  /// true, or returns false when closed and drained.
   template <typename WaitFn>
-  bool PopBatchWith(std::vector<T>* out, size_t max_n, WaitFn&& wait_for) {
+  bool PopBatch(std::vector<T>* out, size_t max_n, WaitFn&& wait_for) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;  // closed and fully drained

@@ -1,9 +1,10 @@
 // Tests for the adaptive micro-batching controller (serve/adaptive.h):
 // the decayed arrival-rate estimator, the delay control law on a fake
 // clock (low rate -> min delay, saturation -> min delay + full batches,
-// mid-band -> fill-time window, budget clamps), and the ServeShard
-// integration (fixed-vs-adaptive bit-identity, kFixed default behavior,
-// bounded latency reservoir, shutdown-race accounting).
+// mid-band -> fill-time window, budget clamps, min delay as a hard floor,
+// min == max as a fixed window), and the ServeShard integration
+// (fixed-vs-adaptive bit-identity, the fixed default window, bounded
+// latency reservoir, shutdown-race accounting).
 
 #include <algorithm>
 #include <atomic>
@@ -188,12 +189,12 @@ TEST(AdaptiveControllerTest, ObservedOverBudgetWaitShrinksTheWindow) {
   const microseconds before = controller.DecideDelay(/*pending=*/4);
   // Queue waits 4x over budget: the feedback clamp must shrink the window
   // even though the feedforward fill-time term is unchanged.
-  for (int i = 0; i < 10; ++i) controller.OnBatchComplete(20.0, 16);
+  for (int i = 0; i < 10; ++i) controller.OnBatchComplete(20.0);
   const microseconds after = controller.DecideDelay(/*pending=*/4);
   EXPECT_LT(after, before);
   EXPECT_GE(after, microseconds(100));
   // The wait EWMA recovers once observed waits return inside the budget.
-  for (int i = 0; i < 50; ++i) controller.OnBatchComplete(0.5, 16);
+  for (int i = 0; i < 50; ++i) controller.OnBatchComplete(0.5);
   EXPECT_EQ(controller.DecideDelay(/*pending=*/4), before);
 }
 
@@ -210,6 +211,52 @@ TEST(AdaptiveControllerTest, IdleBurstDecayReopensShortWindows) {
   clock.Advance(std::chrono::seconds(2));  // quiet shard
   arrivals.OnArrival(clock.Now());         // one lone request
   EXPECT_EQ(controller.DecideDelay(/*pending=*/1), microseconds(100));
+}
+
+TEST(AdaptiveControllerTest, BudgetBelowMinDelayStillWaitsMinDelay) {
+  // min_delay is a floor: a queue-wait budget shorter than it must not
+  // pull the window under it.
+  AdaptiveConfig config = TestConfig();
+  config.min_delay = microseconds(500);
+  config.target_queue_wait_ms = 0.2;
+  FakeClock clock;
+  ArrivalRateEstimator arrivals;
+  AdaptiveBatchController controller(config, &clock, &arrivals);
+  DriveArrivals(&arrivals, &clock, 50, microseconds(100));
+  EXPECT_EQ(controller.DecideDelay(/*pending=*/4), microseconds(500));
+  EXPECT_EQ(controller.DecideDelay(/*pending=*/1), microseconds(500));
+}
+
+TEST(AdaptiveControllerTest, EqualBoundsAreAFixedWindowInEveryRegime) {
+  // min == max is how a shard asks for a fixed window: whatever the rate,
+  // pending count, budget (including one shorter than the window) or
+  // feedback, every decision is max_delay and the controller never counts
+  // an adjustment.
+  for (const double budget_ms : {5.0, 1.0}) {
+    AdaptiveConfig config = TestConfig();
+    config.min_delay = config.max_delay;
+    config.target_queue_wait_ms = budget_ms;
+    FakeClock clock;
+    ArrivalRateEstimator arrivals;
+    AdaptiveBatchController controller(config, &clock, &arrivals);
+    const microseconds fixed = config.max_delay;
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/1), fixed);  // no arrivals
+    DriveArrivals(&arrivals, &clock, 10, microseconds(5000));  // low rate
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/1), fixed);
+    DriveArrivals(&arrivals, &clock, 50, microseconds(10));  // saturation
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/16), fixed);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/40), fixed);
+    DriveArrivals(&arrivals, &clock, 50, microseconds(100));  // mid rate
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/4), fixed);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/12), fixed);
+    for (int i = 0; i < 10; ++i) controller.OnBatchComplete(20.0);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/4), fixed);  // over budget
+    clock.Advance(std::chrono::seconds(2));  // idle decay
+    arrivals.OnArrival(clock.Now());
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/1), fixed);
+    EXPECT_EQ(controller.effective_delay(), fixed);
+    EXPECT_EQ(controller.adjustments(), 0u) << "budget " << budget_ms;
+  }
 }
 
 // ---- LatencyReservoir -------------------------------------------------------
@@ -255,38 +302,58 @@ ServerConfig AdaptiveServerConfig() {
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(2000);
   config.min_batch_delay = microseconds(100);
-  config.batch_policy = BatchPolicy::kAdaptive;
   config.queue_capacity = 1024;
   config.cache_capacity = 0;
   return config;
 }
 
+/// Submits 4 bursts of 24 distinct payloads 10 ms apart — the pattern that
+/// moves an adaptive window — and waits for every answer.
+void RunBursts(ServeShard* server) {
+  std::vector<std::future<ServeResponse>> futures;
+  for (int burst = 0; burst < 4; ++burst) {
+    for (int i = 0; i < 24; ++i) {
+      futures.push_back(server->Submit("b" + std::to_string(burst) + "_" +
+                                       std::to_string(i)));
+    }
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+}
+
 TEST(AdaptiveServeTest, FixedIsTheDefaultAndUntouched) {
-  const ServerConfig config;
-  EXPECT_EQ(config.batch_policy, BatchPolicy::kFixed);
-  auto session = std::make_shared<SyntheticSession>(microseconds(50),
-                                                    microseconds(5));
-  ServeShard server(session);
-  ASSERT_TRUE(server.Submit("x").get().status.ok());
-  server.Shutdown();
-  // Under kFixed the effective window is the configured one and the
-  // adaptive machinery stays silent — including its render row.
-  ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.adapt_adjustments, 0u);
-  EXPECT_EQ(stats.Render("synthetic").find("adaptive"), std::string::npos);
+  // Leaving min_batch_delay unset keeps the window fixed at
+  // max_batch_delay: the default 2 ms, and a 50 us window set alone (below
+  // the controller's own 100 us default floor, which must not leak in).
+  ServerConfig short_window;
+  short_window.max_batch_delay = microseconds(50);
+  for (const ServerConfig& config : {ServerConfig{}, short_window}) {
+    auto session = std::make_shared<SyntheticSession>(microseconds(50),
+                                                      microseconds(5));
+    ServeShard server(session, config);
+    RunBursts(&server);
+    server.Shutdown();
+    // The effective window is the configured one and the adaptive
+    // machinery stays silent — including its render row.
+    EXPECT_EQ(server.effective_batch_delay(), config.max_batch_delay);
+    ServerStatsSnapshot stats = server.Stats();
+    EXPECT_EQ(stats.adapt_adjustments, 0u);
+    EXPECT_EQ(stats.Render("synthetic").find("adaptive"), std::string::npos);
+  }
 }
 
 TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
-  // The policy only moves when a batch closes, never what the model
-  // computes: every payload must produce the same bytes under both.
+  // The window only moves when a batch closes, never what the model
+  // computes: every payload must produce the same bytes with a fixed
+  // window (min == max) and an adaptive one (min < max).
   std::vector<std::string> inputs;
   for (int i = 0; i < 96; ++i) inputs.push_back("req_" + std::to_string(i));
 
-  auto run = [&](BatchPolicy policy) {
+  auto run = [&](microseconds min_delay) {
     auto session = std::make_shared<SyntheticSession>(microseconds(100),
                                                       microseconds(10));
     ServerConfig config = AdaptiveServerConfig();
-    config.batch_policy = policy;
+    config.min_batch_delay = min_delay;
     ServeShard server(session, config);
     std::map<std::string, std::string> outputs;
     std::vector<std::future<ServeResponse>> futures;
@@ -301,8 +368,8 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
     return outputs;
   };
 
-  const auto fixed = run(BatchPolicy::kFixed);
-  const auto adaptive = run(BatchPolicy::kAdaptive);
+  const auto fixed = run(microseconds(2000));
+  const auto adaptive = run(microseconds(100));
   EXPECT_EQ(fixed, adaptive);
 }
 
@@ -310,19 +377,10 @@ TEST(AdaptiveServeTest, ControllerRunsAndExportsAdjustments) {
   auto session = std::make_shared<SyntheticSession>(microseconds(100),
                                                     microseconds(10));
   ServeShard server(session, AdaptiveServerConfig());
-  std::vector<std::future<ServeResponse>> futures;
-  for (int burst = 0; burst < 4; ++burst) {
-    for (int i = 0; i < 24; ++i) {
-      futures.push_back(
-          server.Submit("b" + std::to_string(burst) + "_" +
-                        std::to_string(i)));
-    }
-    std::this_thread::sleep_for(milliseconds(10));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+  RunBursts(&server);
   server.Shutdown();
   ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.completed, futures.size());
+  EXPECT_EQ(stats.completed, 96u);
   // Bursty arrivals force at least one window change (2000 us start ->
   // something shorter), and the change is visible in the snapshot/report.
   EXPECT_GE(stats.adapt_adjustments, 1u);

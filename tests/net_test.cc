@@ -2,7 +2,7 @@
 // pipelining, malformed inputs, limits), the flat-JSON helpers, the event
 // loop's cross-thread Post bridge, and loopback end-to-end checks against a
 // live HttpServer + RoutedServer — including the acceptance bar that the
-// HTTP path returns byte-identical outputs to SubmitWait on every route,
+// HTTP path returns byte-identical outputs to a direct Submit on every route,
 // and that GET /metrics is valid Prometheus exposition.
 
 #include <arpa/inet.h>
@@ -556,11 +556,11 @@ TEST_F(HttpE2eTest, HealthzServesOk) {
 }
 
 /// The acceptance bar: every route's HTTP response carries exactly the
-/// bytes SubmitWait returns for the same input.
+/// bytes a direct Submit returns for the same input.
 TEST_F(HttpE2eTest, HttpOutputsAreByteIdenticalToSubmitWait) {
   for (const std::string& route : routed_->RouteNames()) {
     const std::string payload = "probe for " + route;
-    const ServeResponse direct = routed_->SubmitWait(route, payload);
+    const ServeResponse direct = routed_->Submit(route, payload).get();
     ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
 
     TestClient client(http_->port());
@@ -576,8 +576,8 @@ TEST_F(HttpE2eTest, HttpOutputsAreByteIdenticalToSubmitWait) {
     line.pop_back();
     ASSERT_TRUE(net::JsonParseFlatObject(line, &fields, &error)) << error;
     EXPECT_EQ(fields["output"], direct.output)
-        << route << " differs between HTTP and SubmitWait";
-    EXPECT_EQ(fields["cache_hit"], "true");  // SubmitWait warmed the LRU
+        << route << " differs between HTTP and a direct Submit";
+    EXPECT_EQ(fields["cache_hit"], "true");  // Submit warmed the LRU
   }
 }
 
@@ -609,7 +609,7 @@ TEST_F(HttpE2eTest, MultiLineBodyStreamsChunkedInOrder) {
     ASSERT_TRUE(net::JsonParseFlatObject(lines[i], &fields, &error))
         << error << " in line: " << lines[i];
     EXPECT_EQ(fields["output"],
-              routed_->SubmitWait("clean", payloads[i]).output)
+              routed_->Submit("clean", payloads[i]).get().output)
         << "line " << i << " out of order or wrong";
   }
 }
@@ -689,8 +689,8 @@ TEST_F(HttpE2eTest, PipelinedKeepAliveRequestsAnswerInOrder) {
       first.body.substr(0, first.body.size() - 1), &f1, &error));
   ASSERT_TRUE(net::JsonParseFlatObject(
       second.body.substr(0, second.body.size() - 1), &f2, &error));
-  EXPECT_EQ(f1["output"], routed_->SubmitWait("clean", "one").output);
-  EXPECT_EQ(f2["output"], routed_->SubmitWait("match", "two").output);
+  EXPECT_EQ(f1["output"], routed_->Submit("clean", "one").get().output);
+  EXPECT_EQ(f2["output"], routed_->Submit("match", "two").get().output);
 }
 
 TEST_F(HttpE2eTest, ParseErrorsAnswerAndCloseTheConnection) {

@@ -221,9 +221,9 @@ TEST(TracerTest, ChromeTraceJsonSurfacesFollowsFromLinks) {
   EXPECT_EQ(json.find("\"ph\":\"s\"", first_s + 1), std::string::npos);
 }
 
-/// Duplicates coalesced inside one batch record serve.execute spans that
-/// follow-from the representative's execution span (same trace id + span id
-/// as an execute span of another request in the same batch).
+/// Duplicates coalesced onto one in-flight execution record serve.execute
+/// spans that follow-from the representative's execution span (same trace
+/// id + span id as the execute span of the request that ran).
 TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
   if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "built with RPT_OBS_OFF";
   ScopedTracerEnabled enabled;
@@ -232,7 +232,7 @@ TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
     ServerConfig config;
     config.max_batch_size = 8;
     config.max_batch_delay = std::chrono::milliseconds(50);
-    config.cache_capacity = 0;  // no submit-time hits: force in-batch dedup
+    config.cache_capacity = 0;  // no submit-time hits: force in-flight dedup
     config.name = "obs_link_test";
     RoutedServer server(
         {{"link",
@@ -296,7 +296,7 @@ TEST(ServeTraceTest, RoutedRequestProducesNestedSpans) {
           config}});
     for (int i = 0; i < kRequests; ++i) {
       ServeResponse r =
-          server.SubmitWait("trace", "payload_" + std::to_string(i));
+          server.Submit("trace", "payload_" + std::to_string(i)).get();
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     }
     server.Shutdown();  // joins the collector: every span is recorded
@@ -370,8 +370,9 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        server.SubmitWait("obs_stability_test",
-                          "q" + std::to_string(t) + "_" + std::to_string(i));
+        const std::string payload =
+            "q" + std::to_string(t) + "_" + std::to_string(i);
+        server.Submit("obs_stability_test", payload).get();
       }
     });
   }

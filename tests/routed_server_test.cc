@@ -123,15 +123,15 @@ TEST(RoutedServerTest, DispatchesByRouteKey) {
   EXPECT_TRUE(server.HasRoute("clean"));
   EXPECT_FALSE(server.HasRoute("repair"));
 
-  ServeResponse c = server.SubmitWait("clean", "x");
+  ServeResponse c = server.Submit("clean", "x").get();
   ASSERT_TRUE(c.status.ok()) << c.status.ToString();
   EXPECT_EQ(c.output, "clean:x");
-  ServeResponse m = server.SubmitWait("match", "x");
+  ServeResponse m = server.Submit("match", "x").get();
   EXPECT_EQ(m.output, "match:x");
-  ServeResponse e = server.SubmitWait("extract", "x");
+  ServeResponse e = server.Submit("extract", "x").get();
   EXPECT_EQ(e.output, "extract:x");
 
-  ServeResponse unknown = server.SubmitWait("repair", "x");
+  ServeResponse unknown = server.Submit("repair", "x").get();
   EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound);
   EXPECT_NE(unknown.status.message().find("repair"), std::string::npos);
 
@@ -173,7 +173,7 @@ TEST(RoutedServerTest, SubmitAsyncMatchesSubmitWaitByteForByte) {
   for (const std::string& route : server.RouteNames()) {
     for (int i = 0; i < 4; ++i) {
       const std::string payload = "p" + std::to_string(i % 2);
-      const ServeResponse sync = server.SubmitWait(route, payload);
+      const ServeResponse sync = server.Submit(route, payload).get();
       ASSERT_TRUE(sync.status.ok()) << sync.status.ToString();
       std::promise<ServeResponse> done;
       server.SubmitAsync(route, payload, [&](ServeResponse r) {
@@ -207,10 +207,10 @@ TEST(RoutedServerTest, HashDispatchKeepsCachingShardStable) {
   for (int i = 0; i < kPayloads; ++i) {
     const std::string payload = "cell_" + std::to_string(i);
     expected_submits[ShardForPayload(payload, kShards)] += 2;
-    ServeResponse cold = server.SubmitWait("synthetic", payload);
+    ServeResponse cold = server.Submit("synthetic", payload).get();
     ASSERT_TRUE(cold.status.ok());
     EXPECT_FALSE(cold.cache_hit);
-    ServeResponse warm = server.SubmitWait("synthetic", payload);
+    ServeResponse warm = server.Submit("synthetic", payload).get();
     ASSERT_TRUE(warm.status.ok());
     EXPECT_TRUE(warm.cache_hit) << payload;
     EXPECT_EQ(warm.output, cold.output);
@@ -250,7 +250,6 @@ TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
   ServerConfig fixed_config;
   fixed_config.cache_capacity = 0;
   ServerConfig adaptive_config = fixed_config;
-  adaptive_config.batch_policy = BatchPolicy::kAdaptive;
   adaptive_config.min_batch_delay = microseconds(100);
   RoutedServer server({{"fixed", make_replicas(), fixed_config},
                        {"adaptive", make_replicas(), adaptive_config}});
@@ -267,7 +266,7 @@ TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
     ServeResponse a = adaptive_futures[i].get();
     ASSERT_TRUE(f.status.ok()) << f.status.ToString();
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    EXPECT_EQ(f.output, a.output) << i;  // policy moves timing, not bytes
+    EXPECT_EQ(f.output, a.output) << i;  // window moves timing, not bytes
   }
   server.Shutdown();
 
@@ -303,7 +302,7 @@ TEST(RoutedServerTest, SaturatedShardFallsBackToLeastLoaded) {
       server.Submit("gate", payloads[1]);
   // Hash says shard 0, but shard 0 is saturated — the dispatcher must fall
   // back to the shallowest queue (shard 1), where the gate is open.
-  ServeResponse rerouted = server.SubmitWait("gate", payloads[2]);
+  ServeResponse rerouted = server.Submit("gate", payloads[2]).get();
   EXPECT_TRUE(rerouted.status.ok()) << rerouted.status.ToString();
   EXPECT_EQ(rerouted.output, "echo:" + payloads[2]);
 
@@ -339,13 +338,13 @@ TEST(RoutedServerTest, AggregatedStatsReconcileWithShardSums) {
     // Every third payload repeats, to exercise the cache counters too.
     const int key = (i % 3 == 2) ? i - 1 : i;
     ASSERT_TRUE(
-        server.SubmitWait("a", "pay_" + std::to_string(key)).status.ok());
+        server.Submit("a", "pay_" + std::to_string(key)).get().status.ok());
   }
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        server.SubmitWait("b", "pay_" + std::to_string(i)).status.ok());
+        server.Submit("b", "pay_" + std::to_string(i)).get().status.ok());
   }
-  ASSERT_EQ(server.SubmitWait("nope", "x").status.code(),
+  ASSERT_EQ(server.Submit("nope", "x").get().status.code(),
             StatusCode::kNotFound);
   server.Shutdown();
 
@@ -419,8 +418,8 @@ TEST(RoutedServerTest, ConcurrentSubmitAndShutdownComplete) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const std::string route = (i % 2 == 0) ? "clean" : "match";
-        ServeResponse r = server.SubmitWait(
-            route, "t" + std::to_string(t) + "_" + std::to_string(i));
+        ServeResponse r = server.Submit(
+            route, "t" + std::to_string(t) + "_" + std::to_string(i)).get();
         if (r.status.ok()) {
           ok.fetch_add(1);
         } else if (r.status.code() == StatusCode::kUnavailable) {
@@ -488,7 +487,7 @@ TEST(RoutedServerTest, UnknownRouteNumShardsIsZeroNotFatal) {
   EXPECT_EQ(server.NumShards(""), 0u);
   EXPECT_FALSE(server.HasRoute("no-such-route"));
   // And an actual request for it completes with kNotFound.
-  EXPECT_EQ(server.SubmitWait("no-such-route", "x").status.code(),
+  EXPECT_EQ(server.Submit("no-such-route", "x").get().status.code(),
             StatusCode::kNotFound);
   server.Shutdown();
 }
@@ -524,7 +523,7 @@ TEST(RoutedServerTest, MalformedPayloadHammerNeverKillsTheServer) {
         const std::string payload =
             good ? "ok_" + std::to_string(t) + "_" + std::to_string(i)
                  : bad[static_cast<size_t>(i / 2) % bad.size()];
-        ServeResponse r = server.SubmitWait("picky", payload);
+        ServeResponse r = server.Submit("picky", payload).get();
         if (r.status.ok()) {
           EXPECT_EQ(r.output, "echo:" + payload);
           completed.fetch_add(1);
@@ -569,7 +568,7 @@ TEST(RoutedServerTest, PerReplicaBackendsAndPinningServeCorrectly) {
   ASSERT_EQ(server.NumShards("mixed"), 3u);
   for (int i = 0; i < 30; ++i) {
     const std::string payload = "req" + std::to_string(i);
-    ServeResponse r = server.SubmitWait("mixed", payload);
+    ServeResponse r = server.Submit("mixed", payload).get();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.output, "mixed:" + payload);
   }
@@ -652,12 +651,12 @@ TEST(RoutedMetricsTest, TwoServersWithOneRouteNameKeepSeparateSeries) {
   RoutedServer a({{"clean", {std::make_shared<LabelSession>("a")}, config}});
   RoutedServer b({{"clean", {std::make_shared<LabelSession>("b")}, config}});
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(a.SubmitWait("clean", "a" + std::to_string(i)).status.ok());
+    ASSERT_TRUE(a.Submit("clean", "a" + std::to_string(i)).get().status.ok());
   }
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(b.SubmitWait("clean", "b" + std::to_string(i)).status.ok());
+    ASSERT_TRUE(b.Submit("clean", "b" + std::to_string(i)).get().status.ok());
   }
-  ASSERT_EQ(a.SubmitWait("translate", "x").status.code(),
+  ASSERT_EQ(a.Submit("translate", "x").get().status.code(),
             StatusCode::kNotFound);
 
   const std::string text_a = a.MetricsText();
@@ -745,10 +744,6 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
   cache_config.cache_capacity = 64;
   cache_config.exactness = Exactness::kNearDup;
   cache_config.neardup_max_hamming = 12;
-  ServerConfig inbatch_config;
-  inbatch_config.max_batch_size = 2;  // closes once both duplicates arrive
-  inbatch_config.max_batch_delay = std::chrono::seconds(10);
-  inbatch_config.inflight_coalescing = false;
   ServerConfig gate_config;
   gate_config.max_batch_size = 1;
   gate_config.queue_capacity = 2;
@@ -761,8 +756,6 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
   std::vector<RouteSpec> routes;
   routes.push_back(
       {"cache", {std::make_shared<LabelSession>("cache")}, cache_config});
-  routes.push_back(
-      {"inbatch", {std::make_shared<LabelSession>("inbatch")}, inbatch_config});
   routes.push_back({"gate", {gate}, gate_config});
   routes.push_back(
       {"pool", {pool_gate, std::make_shared<LabelSession>("pool")},
@@ -770,13 +763,9 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
   RoutedServer server(std::move(routes));
 
   // LRU hit and near-duplicate hit.
-  ASSERT_TRUE(server.SubmitWait("cache", kDoc).status.ok());
-  EXPECT_TRUE(server.SubmitWait("cache", kDoc).cache_hit);
-  EXPECT_TRUE(server.SubmitWait("cache", kNearDoc).cache_hit);
-  // In-batch duplicate (in-flight coalescing off).
-  std::future<ServeResponse> dup_a = server.Submit("inbatch", "dup");
-  std::future<ServeResponse> dup_b = server.Submit("inbatch", "dup");
-  EXPECT_NE(dup_a.get().cache_hit, dup_b.get().cache_hit);
+  ASSERT_TRUE(server.Submit("cache", kDoc).get().status.ok());
+  EXPECT_TRUE(server.Submit("cache", kDoc).get().cache_hit);
+  EXPECT_TRUE(server.Submit("cache", kNearDoc).get().cache_hit);
   // Behind a wedged collector: an Ok joiner, an expiring representative
   // with its joiner, a Validate failure, and queue-full.
   std::future<ServeResponse> wedge = server.Submit("gate", "wedge");
@@ -786,7 +775,7 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
       server.Submit("gate", "doomed", milliseconds(1));
   std::future<ServeResponse> doomed_joiner = server.Submit("gate", "doomed");
   std::future<ServeResponse> bad = server.Submit("gate", "bad");
-  EXPECT_EQ(server.SubmitWait("gate", "overflow").status.code(),
+  EXPECT_EQ(server.Submit("gate", "overflow").get().status.code(),
             StatusCode::kUnavailable);
   // Saturation fallback: shard 0 of the pool is wedged and its one-slot
   // queue full, so its next payload runs on shard 1.
@@ -794,9 +783,9 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
   std::future<ServeResponse> pool_a = server.Submit("pool", pool_payloads[0]);
   WaitForEmptyQueue(server, "pool");
   std::future<ServeResponse> pool_b = server.Submit("pool", pool_payloads[1]);
-  EXPECT_TRUE(server.SubmitWait("pool", pool_payloads[2]).status.ok());
+  EXPECT_TRUE(server.Submit("pool", pool_payloads[2]).get().status.ok());
   // Unknown route.
-  EXPECT_EQ(server.SubmitWait("nope", "x").status.code(),
+  EXPECT_EQ(server.Submit("nope", "x").get().status.code(),
             StatusCode::kNotFound);
 
   std::this_thread::sleep_for(milliseconds(30));
@@ -811,15 +800,15 @@ TEST(RoutedMetricsTest, ExpositionAgreesWithStatsAcrossEveryOutcome) {
   EXPECT_TRUE(pool_b.get().status.ok());
   server.Shutdown();
   // Shutdown rejection.
-  EXPECT_EQ(server.SubmitWait("cache", "late").status.code(),
+  EXPECT_EQ(server.Submit("cache", "late").get().status.code(),
             StatusCode::kUnavailable);
 
   const RoutedStatsSnapshot stats = server.Stats();
   // Every outcome happened.
   EXPECT_EQ(stats.total.neardup_hits, 1u);
   EXPECT_EQ(stats.total.inflight_coalesced, 2u);
-  EXPECT_EQ(stats.total.coalesced, 2u);  // in-batch dup + Ok joiner
-  EXPECT_EQ(stats.total.cache_hits, 4u);  // LRU + near-dup + both folds
+  EXPECT_EQ(stats.total.coalesced, 1u);   // the Ok joiner
+  EXPECT_EQ(stats.total.cache_hits, 3u);  // LRU + near-dup + the fold
   EXPECT_EQ(stats.total.rejected, 1u);
   EXPECT_EQ(stats.total.shutdown_rejected, 1u);
   EXPECT_EQ(stats.total.expired, 2u);

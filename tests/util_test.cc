@@ -479,6 +479,11 @@ TEST(ThreadPoolTest, InstanceParallelForSmallAndEmptyRanges) {
 
 // ---- BoundedQueue ----------------------------------------------------------------------
 
+/// A PopBatch window callback that always answers `us` microseconds.
+auto WaitFor(int64_t us) {
+  return [us](size_t) { return std::chrono::microseconds(us); };
+}
+
 TEST(BoundedQueueTest, TryPushRejectsWhenFull) {
   BoundedQueue<int> q(2);
   EXPECT_EQ(q.TryPush(1), PushResult::kOk);
@@ -486,9 +491,9 @@ TEST(BoundedQueueTest, TryPushRejectsWhenFull) {
   // A full queue is backpressure, and must not read as shutdown.
   EXPECT_EQ(q.TryPush(3), PushResult::kFull);
   EXPECT_EQ(q.size(), 2u);
-  auto popped = q.PopWait(std::chrono::microseconds(1000));
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(*popped, 1);
+  std::vector<int> popped;
+  ASSERT_TRUE(q.PopBatch(&popped, 1, WaitFor(1000)));
+  EXPECT_EQ(popped, (std::vector<int>{1}));
   EXPECT_EQ(q.TryPush(3), PushResult::kOk);
 }
 
@@ -498,11 +503,28 @@ TEST(BoundedQueueTest, PopBatchGathersUpToMax) {
     ASSERT_EQ(q.TryPush(std::move(i)), PushResult::kOk);
   }
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, std::chrono::microseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
   batch.clear();
-  ASSERT_TRUE(q.PopBatch(&batch, 4, std::chrono::microseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
   EXPECT_EQ(batch, (std::vector<int>{4, 5}));  // partial batch on timeout
+}
+
+TEST(BoundedQueueTest, PopBatchAsksForTheWindowOnceWithThePendingCount) {
+  BoundedQueue<int> q(16);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(q.TryPush(std::move(i)), PushResult::kOk);
+  }
+  std::vector<size_t> asked;
+  std::vector<int> batch;
+  ASSERT_TRUE(q.PopBatch(&batch, 4, [&asked](size_t pending) {
+    asked.push_back(pending);
+    return std::chrono::microseconds(100);
+  }));
+  // Asked once, after the first elements are taken, with everything then
+  // available: the 4 popped plus the 2 still queued.
+  EXPECT_EQ(asked, (std::vector<size_t>{6}));
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenReportsClosed) {
@@ -513,10 +535,10 @@ TEST(BoundedQueueTest, CloseDrainsThenReportsClosed) {
   // backpressure, for this case.
   EXPECT_EQ(q.TryPush(8), PushResult::kClosed);
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, std::chrono::microseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
   EXPECT_EQ(batch, (std::vector<int>{7}));  // drain survives Close
   batch.clear();
-  EXPECT_FALSE(q.PopBatch(&batch, 4, std::chrono::microseconds(100)));
+  EXPECT_FALSE(q.PopBatch(&batch, 4, WaitFor(100)));
 }
 
 TEST(BoundedQueueTest, PopBatchWakesOnConcurrentPush) {
@@ -527,7 +549,7 @@ TEST(BoundedQueueTest, PopBatchWakesOnConcurrentPush) {
   });
   std::vector<int> batch;
   // Blocks until the producer delivers, despite starting on an empty queue.
-  ASSERT_TRUE(q.PopBatch(&batch, 4, std::chrono::microseconds(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
   EXPECT_EQ(batch, (std::vector<int>{42}));
   producer.join();
 }

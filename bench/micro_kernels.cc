@@ -29,7 +29,6 @@
 #include "synth/universe.h"
 #include "tensor/cpu_features.h"
 #include "tensor/gemm.h"
-#include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -98,24 +97,6 @@ void BM_GemmNNFusedBiasGelu(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNNFusedBiasGelu)->Arg(128)->Arg(256);
-
-void BM_GemmNNInt8(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::Randn({n, n}, 1.0f, &rng);
-  Tensor b = Tensor::Randn({n, n}, 1.0f, &rng);
-  QuantizedMatrix q = QuantizePerChannel(b.data(), n, n);
-  Tensor c = Tensor::Zeros({n, n});
-  for (auto _ : state) {
-    GemmNNInt8(a.data(), q, c.data(), n, n);
-    benchmark::DoNotOptimize(c.data());
-    state.PauseTiming();
-    std::memset(c.data(), 0, sizeof(float) * static_cast<size_t>(n * n));
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmNNInt8)->Arg(128)->Arg(256);
 
 void BM_Softmax(benchmark::State& state) {
   Rng rng(2);

@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -48,7 +47,6 @@
 
 #include "bench_common.h"
 #include "eval/report.h"
-#include "nn/backend.h"
 #include "nn/weight_store.h"
 #include "obs/stage_exporter.h"
 #include "obs/trace.h"
@@ -58,7 +56,7 @@
 #include "serve/sessions.h"
 #include "serve/shard.h"
 #include "table/table.h"
-#include "tensor/quant.h"
+#include "tensor/cpu_features.h"
 #include "util/rng.h"
 
 namespace {
@@ -531,13 +529,11 @@ void AdaptiveBatching(bool smoke) {
 
 // ---- Shared-weight replicas -------------------------------------------------
 
-/// The tentpole demonstration: N cleaner replicas bound to one frozen
-/// WeightStore cost ~one copy of the parameters (RSS report + an exact
-/// distinct-allocation check), serve byte-identical answers under the
-/// forced-scalar backend, and the cpu-int8 tier stays inside its analytic
-/// error bound.
+/// N cleaner replicas bound to one frozen WeightStore cost ~one copy of the
+/// parameters (RSS report + an exact distinct-allocation check) and, with
+/// dispatch forced to scalar, serve byte-identical answers.
 void WeightSharing(bool smoke) {
-  rpt::PrintBanner("weight sharing: replica memory + backend exactness");
+  rpt::PrintBanner("weight sharing: replica memory + scalar exactness");
   rpt::Table table{rpt::Schema({"name", "expertise", "city"})};
   for (int i = 0; i < 8; ++i) {
     table.AddRow({rpt::Value::String("michael jordan"),
@@ -579,11 +575,12 @@ void WeightSharing(bool smoke) {
     payloads.push_back(CleanerSession::FormatCellQuery(q, 2));
     queries.push_back({std::move(q), 2});
   }
-  std::vector<std::string> expected_scalar;
-  {
-    rpt::ScopedComputeBackend scalar(rpt::ComputeBackend::kCpuScalar);
-    expected_scalar = source.PredictBatch(table.schema(), queries);
-  }
+  // The rest of this section runs with dispatch forced to scalar, the
+  // routed replicas' collector threads included: the override is process-
+  // wide, so the byte-for-byte check below compares like with like.
+  rpt::ScopedTensorBackendOverride scalar(rpt::TensorBackend::kScalar);
+  const std::vector<std::string> expected_scalar =
+      source.PredictBatch(table.schema(), queries);
 
   // Memory: N bound replicas vs N private copies, with the page counter as
   // the headline and the exact distinct-allocation sum as the hard check.
@@ -595,9 +592,7 @@ void WeightSharing(bool smoke) {
     replica_config.seed = 1000 + static_cast<uint64_t>(r);
     replicas.push_back(
         std::make_unique<rpt::RptCleaner>(replica_config, vocab));
-    const rpt::Status bound =
-        replicas.back()->model().BindWeights(
-            store, rpt::ComputeBackend::kCpuScalar);
+    const rpt::Status bound = replicas.back()->model().BindWeights(store);
     if (!bound.ok()) {
       std::printf("FAIL: BindWeights: %s\n", bound.ToString().c_str());
       ++g_failures;
@@ -669,9 +664,9 @@ void WeightSharing(bool smoke) {
     }
   }
 
-  // Serving exactness: a 4-replica routed pool on the shared store, every
-  // replica forced cpu-scalar with pinned collectors, must answer byte-for-
-  // byte what the privately-owned source answers under the same backend.
+  // Serving exactness: a 4-replica routed pool on the shared store must
+  // answer byte-for-byte what the privately-owned source answers under the
+  // same (scalar) dispatch.
   {
     RouteSpec spec;
     spec.name = "clean-shared";
@@ -682,9 +677,6 @@ void WeightSharing(bool smoke) {
     spec.config.max_batch_size = 8;
     spec.config.max_batch_delay = microseconds(1000);
     spec.config.cache_capacity = 0;
-    spec.replica_backends.assign(kReplicas,
-                                 rpt::ComputeBackend::kCpuScalar);
-    spec.pin_collectors = true;
     RoutedServer server({std::move(spec)});
     bool identical = true;
     for (size_t i = 0; i < payloads.size(); ++i) {
@@ -695,82 +687,6 @@ void WeightSharing(bool smoke) {
     Check(identical,
           "forced-scalar shared-weight replicas match the private baseline "
           "byte for byte");
-  }
-
-  // Int8 tier: the quantized GEMM against the store's own weights stays
-  // within the per-channel analytic bound, and a cpu-int8 replica still
-  // answers the confident queries correctly.
-  {
-    const rpt::WeightEntry* entry = nullptr;
-    for (const rpt::WeightEntry& e : store->entries()) {
-      if (e.shape.size() == 2 &&
-          (entry == nullptr || e.numel > entry->numel)) {
-        entry = &e;
-      }
-    }
-    const rpt::QuantizedMatrix* q =
-        entry != nullptr ? store->Quantized(entry->name) : nullptr;
-    bool bound_holds = q != nullptr;
-    if (q != nullptr) {
-      const int64_t k = q->k, n = q->n, m = 4;
-      std::vector<float> a(static_cast<size_t>(m * k));
-      for (size_t i = 0; i < a.size(); ++i) {
-        a[i] = 0.25f * static_cast<float>((static_cast<int>(i) % 17) - 8);
-      }
-      const float* b = store->DataFor(*entry);
-      std::vector<float> ref(static_cast<size_t>(m * n), 0.0f);
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = a[static_cast<size_t>(i * k + p)];
-          for (int64_t j = 0; j < n; ++j) {
-            ref[static_cast<size_t>(i * n + j)] +=
-                av * b[static_cast<size_t>(p * n + j)];
-          }
-        }
-      }
-      std::vector<float> got(static_cast<size_t>(m * n), 0.0f);
-      rpt::GemmNNInt8(a.data(), *q, got.data(), m, k);
-      for (int64_t i = 0; i < m && bound_holds; ++i) {
-        float l1 = 0.0f;
-        for (int64_t p = 0; p < k; ++p) {
-          l1 += std::fabs(a[static_cast<size_t>(i * k + p)]);
-        }
-        for (int64_t j = 0; j < n; ++j) {
-          const float err = std::fabs(got[static_cast<size_t>(i * n + j)] -
-                                      ref[static_cast<size_t>(i * n + j)]);
-          if (err > q->ErrorBound(j, l1) + 1e-4f) {
-            bound_holds = false;
-            break;
-          }
-        }
-      }
-    }
-    Check(bound_holds,
-          "int8 GEMM on the store's shared quantized weights stays within "
-          "the analytic error bound");
-
-    rpt::CleanerConfig int8_config = config;
-    int8_config.seed = 3000;
-    rpt::RptCleaner int8_replica(int8_config, vocab);
-    const rpt::Status bound =
-        int8_replica.model().BindWeights(store,
-                                         rpt::ComputeBackend::kCpuInt8);
-    if (!bound.ok()) {
-      std::printf("FAIL: int8 BindWeights: %s\n", bound.ToString().c_str());
-      ++g_failures;
-    } else {
-      const std::vector<std::string> int8_out =
-          int8_replica.PredictBatch(table.schema(), queries);
-      size_t agree = 0;
-      for (size_t i = 0; i < int8_out.size(); ++i) {
-        if (int8_out[i] == expected_scalar[i]) ++agree;
-      }
-      const double rate =
-          static_cast<double>(agree) / static_cast<double>(int8_out.size());
-      std::printf("int8 replica agreement with fp32 predictions: %zu/%zu\n",
-                  agree, int8_out.size());
-      RecordMetric("weightshare_int8_agreement", rate);
-    }
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "nn/weight_store.h"
-#include "tensor/quant.h"
 #include "util/logging.h"
 
 namespace rpt {
@@ -27,38 +25,7 @@ Tensor Linear::Forward(const Tensor& x) const {
 
 Tensor Linear::ForwardAct(const Tensor& x, FusedAct act) const {
   RPT_CHECK_EQ(x.dim(-1), in_features_);
-  // int8 is inference-only; a tracked input composes the exact fp32 graph.
-  if (qweight_ != nullptr && !(AutogradEnabled() && x.requires_grad())) {
-    std::vector<int64_t> out_shape = x.shape();
-    out_shape.back() = out_features_;
-    const int64_t rows = x.numel() / in_features_;
-    Tensor out = Tensor::Zeros(std::move(out_shape));
-    GemmNNInt8(x.data(), *qweight_, out.data(), rows, in_features_);
-    if (bias_.defined()) out = Add(out, bias_);
-    switch (act) {
-      case FusedAct::kNone:
-        break;
-      case FusedAct::kRelu:
-        out = Relu(out);
-        break;
-      case FusedAct::kGelu:
-        out = Gelu(out);
-        break;
-    }
-    return out;
-  }
   return MatMulBiasAct(x, weight_, bias_, act);
-}
-
-void Linear::OnWeightsBound(const WeightBindContext& ctx) {
-  if (ctx.backend == ComputeBackend::kCpuInt8) {
-    qweight_ = ctx.store->Quantized(ctx.prefix + "weight");
-    RPT_CHECK(qweight_ != nullptr);
-    qstore_ = ctx.store;
-  } else {
-    qweight_ = nullptr;
-    qstore_.reset();
-  }
 }
 
 Embedding::Embedding(int64_t num_embeddings, int64_t dim, Rng* rng)

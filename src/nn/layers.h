@@ -3,7 +3,6 @@
 #ifndef RPT_NN_LAYERS_H_
 #define RPT_NN_LAYERS_H_
 
-#include <memory>
 #include <vector>
 
 #include "nn/module.h"
@@ -11,9 +10,6 @@
 #include "util/rng.h"
 
 namespace rpt {
-
-struct QuantizedMatrix;
-class WeightStore;
 
 /// y = x W + b over the last axis of x. Weight is stored as [in, out] so the
 /// forward pass is a plain 2-D matmul.
@@ -26,29 +22,17 @@ class Linear : public Module {
 
   /// act(x W + b) through the fused GEMM epilogue. Under autograd this is
   /// the exact MatMul/Add/activation composition; in inference it is a
-  /// single dispatched kernel call. When bound to a WeightStore with the
-  /// cpu-int8 backend, untracked calls run the int8 weight-quantized GEMM
-  /// instead (error bounded per output channel; see tensor/quant.h).
+  /// single dispatched kernel call.
   Tensor ForwardAct(const Tensor& x, FusedAct act) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
-
-  /// True when ForwardAct will take the int8 path for untracked inputs.
-  bool uses_int8() const { return qweight_ != nullptr; }
-
- protected:
-  void OnWeightsBound(const WeightBindContext& ctx) override;
 
  private:
   int64_t in_features_;
   int64_t out_features_;
   Tensor weight_;  // [in, out]
   Tensor bias_;    // [out], undefined when bias=false
-  // Set by OnWeightsBound under kCpuInt8: the store's shared per-channel
-  // int8 copy of weight_ (the store shared_ptr keeps it alive).
-  std::shared_ptr<const WeightStore> qstore_;
-  const QuantizedMatrix* qweight_ = nullptr;
 };
 
 /// Trainable token-id -> vector table.

@@ -96,17 +96,15 @@ Status Module::LoadState(BinaryReader* reader) {
   return Status::Ok();
 }
 
-Status Module::BindWeights(const std::shared_ptr<const WeightStore>& store,
-                           ComputeBackend backend) {
+Status Module::BindWeights(const std::shared_ptr<const WeightStore>& store) {
   RPT_CHECK(store != nullptr);
-  RPT_RETURN_IF_ERROR(BindWeightsImpl("", store, backend));
+  RPT_RETURN_IF_ERROR(BindWeightsImpl("", store));
   SetTraining(false);
   return Status::Ok();
 }
 
 Status Module::BindWeightsImpl(const std::string& prefix,
-                               const std::shared_ptr<const WeightStore>& store,
-                               ComputeBackend backend) {
+                               const std::shared_ptr<const WeightStore>& store) {
   for (auto& [name, tensor] : params_) {
     const std::string full_name = prefix + name;
     const WeightEntry* entry = store->Find(full_name);
@@ -120,10 +118,8 @@ Status Module::BindWeightsImpl(const std::string& prefix,
     }
     tensor.BindTo(store->KeepaliveFor(store), store->DataFor(*entry));
   }
-  OnWeightsBound(WeightBindContext{store, backend, prefix});
   for (auto& [name, child] : children_) {
-    RPT_RETURN_IF_ERROR(
-        child->BindWeightsImpl(prefix + name + ".", store, backend));
+    RPT_RETURN_IF_ERROR(child->BindWeightsImpl(prefix + name + ".", store));
   }
   return Status::Ok();
 }

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "nn/backend.h"
 #include "tensor/tensor.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -21,15 +20,6 @@
 namespace rpt {
 
 class WeightStore;
-
-/// What OnWeightsBound sees: the store the module was just bound to, the
-/// compute backend the owning replica will run, and this module's dotted
-/// name prefix inside the store (e.g. "encoder.layers.0.fc1.").
-struct WeightBindContext {
-  const std::shared_ptr<const WeightStore>& store;
-  ComputeBackend backend;
-  const std::string& prefix;
-};
 
 class Module {
  public:
@@ -67,12 +57,9 @@ class Module {
   /// blob; the previously owned buffers are freed, so N bound replicas hold
   /// one copy of the weights. Every parameter must exist in the store with
   /// a matching shape (kInvalidArgument otherwise; parameters bound before
-  /// the failure stay bound). `backend` is recorded through OnWeightsBound —
-  /// with kCpuInt8, Linear layers additionally pick up the store's shared
-  /// int8 quantization of their weight. Binding puts the module in eval
-  /// mode: bound parameters cannot require grad.
-  Status BindWeights(const std::shared_ptr<const WeightStore>& store,
-                     ComputeBackend backend = ComputeBackend::kAuto);
+  /// the failure stay bound). Binding puts the module in eval mode: bound
+  /// parameters cannot require grad.
+  Status BindWeights(const std::shared_ptr<const WeightStore>& store);
 
  protected:
   Module() = default;
@@ -84,15 +71,9 @@ class Module {
   /// which holds in practice because children are data members).
   void RegisterModule(const std::string& name, Module* child);
 
-  /// Hook invoked after this module's own parameters (not yet its
-  /// children's) were rebound by BindWeights. Layers that keep derived
-  /// state — e.g. Linear's int8 weights under kCpuInt8 — refresh it here.
-  virtual void OnWeightsBound(const WeightBindContext& ctx) { (void)ctx; }
-
  private:
   Status BindWeightsImpl(const std::string& prefix,
-                         const std::shared_ptr<const WeightStore>& store,
-                         ComputeBackend backend);
+                         const std::shared_ptr<const WeightStore>& store);
   void CollectNamed(const std::string& prefix,
                     std::vector<std::pair<std::string, Tensor>>* out) const;
 

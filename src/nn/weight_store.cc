@@ -49,11 +49,12 @@ struct MmapRegion {
 };
 #endif
 
+// Element count of `shape`; -1 for a negative dimension or a product that
+// overflows int64 (both only come from a corrupt file).
 int64_t EntryNumel(const std::vector<int64_t>& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
-    if (d < 0) return -1;
-    n *= d;
+    if (d < 0 || __builtin_mul_overflow(n, d, &n)) return -1;
   }
   return n;
 }
@@ -158,9 +159,12 @@ Result<std::shared_ptr<const WeightStore>> WeightStore::MapFromFile(
   }
   in.seekg(0, std::ios::end);
   const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  if (blob_start % kAlignBytes != 0 ||
-      blob_start < kPreambleBytes + table_bytes ||
-      blob_start + blob_floats * sizeof(float) != file_size) {
+  // Every size comes from the file, so no check may add or multiply them:
+  // a crafted header would wrap the sum and pass.
+  if (blob_start % kAlignBytes != 0 || blob_start < kPreambleBytes ||
+      table_bytes > blob_start - kPreambleBytes || blob_start > file_size ||
+      (file_size - blob_start) % sizeof(float) != 0 ||
+      blob_floats != (file_size - blob_start) / sizeof(float)) {
     return Status::InvalidArgument(path + ": corrupt weight store geometry");
   }
 
@@ -185,7 +189,7 @@ Result<std::shared_ptr<const WeightStore>> WeightStore::MapFromFile(
     auto numel = table.ReadU64();
     if (!numel.ok()) return numel.status();
     if (EntryNumel(*shape) != static_cast<int64_t>(*numel) ||
-        *offset + *numel > blob_floats) {
+        *numel > blob_floats || *offset > blob_floats - *numel) {
       return Status::InvalidArgument(path + ": corrupt entry " + *name);
     }
     WeightEntry entry;
@@ -234,19 +238,6 @@ const WeightEntry* WeightStore::Find(const std::string& name) const {
   auto it = index_.find(name);
   if (it == index_.end()) return nullptr;
   return &entries_[it->second];
-}
-
-const QuantizedMatrix* WeightStore::Quantized(const std::string& name) const {
-  const WeightEntry* entry = Find(name);
-  if (entry == nullptr || entry->shape.size() != 2) return nullptr;
-  std::lock_guard<std::mutex> lock(quant_mu_);
-  auto it = quant_.find(name);
-  if (it == quant_.end()) {
-    auto q = std::make_unique<QuantizedMatrix>(QuantizePerChannel(
-        DataFor(*entry), entry->shape[0], entry->shape[1]));
-    it = quant_.emplace(name, std::move(q)).first;
-  }
-  return it->second.get();
 }
 
 }  // namespace rpt

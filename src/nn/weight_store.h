@@ -9,10 +9,6 @@
 // mapped back read-only (MapFromFile), letting many processes share one
 // physical copy via the page cache.
 //
-// The store additionally owns the int8 side of the backend seam: Quantized()
-// lazily quantizes a 2-D entry per output channel (tensor/quant.h) exactly
-// once, so every cpu-int8 replica of a route shares one quantized copy too.
-//
 // Blob layout: entries in NamedParameters() order, each payload aligned up
 // to 64 bytes (16 floats) so SIMD kernels can assume aligned rows.
 //
@@ -30,12 +26,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "tensor/quant.h"
 #include "util/status.h"
 
 namespace rpt {
@@ -83,12 +77,6 @@ class WeightStore {
   size_t blob_bytes() const { return total_floats_ * sizeof(float); }
   bool file_backed() const { return file_backed_; }
 
-  /// Per-output-channel int8 quantization of the 2-D entry `name`, computed
-  /// on first request and cached (thread-safe); every int8 replica shares
-  /// the one copy. Returns nullptr when the entry is missing or not 2-D.
-  /// The pointer lives as long as the store.
-  const QuantizedMatrix* Quantized(const std::string& name) const;
-
   WeightStore(const WeightStore&) = delete;
   WeightStore& operator=(const WeightStore&) = delete;
   ~WeightStore() = default;
@@ -103,10 +91,6 @@ class WeightStore {
   bool file_backed_ = false;
   // Heap buffer or mmap region; its deleter releases the memory.
   std::shared_ptr<const void> blob_;
-
-  mutable std::mutex quant_mu_;
-  mutable std::unordered_map<std::string, std::unique_ptr<QuantizedMatrix>>
-      quant_;
 };
 
 }  // namespace rpt

@@ -7,7 +7,6 @@
 #include "eval/report.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/affinity.h"
 #include "util/logging.h"
 
 namespace rpt {
@@ -50,20 +49,12 @@ std::string RoutedStatsSnapshot::Render() const {
 RoutedServer::RoutedServer(std::vector<RouteSpec> routes) {
   RPT_CHECK(!routes.empty()) << "a RoutedServer needs at least one route";
   routes_.reserve(routes.size());
-  // Round-robin CPU assignment for routes that opt into collector pinning,
-  // counted across the whole server so co-hosted routes spread out.
-  int next_cpu = 0;
   for (RouteSpec& spec : routes) {
     RPT_CHECK(!spec.name.empty()) << "route names must be non-empty";
     RPT_CHECK(!spec.replicas.empty())
         << "route '" << spec.name << "' has no replica sessions";
     RPT_CHECK(index_.find(spec.name) == index_.end())
         << "duplicate route name '" << spec.name << "'";
-    RPT_CHECK(spec.replica_backends.empty() ||
-              spec.replica_backends.size() == spec.replicas.size())
-        << "route '" << spec.name << "': replica_backends has "
-        << spec.replica_backends.size() << " entries for "
-        << spec.replicas.size() << " replicas";
     Route route;
     route.name = spec.name;
     route.exactness = spec.config.exactness;
@@ -72,12 +63,6 @@ RoutedServer::RoutedServer(std::vector<RouteSpec> routes) {
     for (size_t i = 0; i < spec.replicas.size(); ++i) {
       ServerConfig shard_config = spec.config;
       shard_config.name = spec.name + "#" + std::to_string(i);
-      if (!spec.replica_backends.empty()) {
-        shard_config.compute_backend = spec.replica_backends[i];
-      }
-      if (spec.pin_collectors && shard_config.cpu_affinity < 0) {
-        shard_config.cpu_affinity = next_cpu++ % OnlineCpuCount();
-      }
       route.shards.push_back(std::make_unique<ServeShard>(
           std::move(spec.replicas[i]), std::move(shard_config)));
     }

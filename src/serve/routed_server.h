@@ -68,8 +68,6 @@ namespace rpt {
 /// per entry), and the ServerConfig applied to every shard of the pool.
 struct RouteSpec {
   RouteSpec() = default;
-  /// The common case: every replica inherits `config` (including its
-  /// compute_backend); tune the per-replica fields afterwards if needed.
   RouteSpec(std::string name,
             std::vector<std::shared_ptr<ModelSession>> replicas,
             ServerConfig config)
@@ -80,16 +78,6 @@ struct RouteSpec {
   std::string name;
   std::vector<std::shared_ptr<ModelSession>> replicas;
   ServerConfig config;
-  /// Per-replica compute backend (nn/backend.h), overriding
-  /// `config.compute_backend` position by position. Empty means every
-  /// replica uses the config value; otherwise the size must equal
-  /// `replicas.size()`. Lets one route mix tiers, e.g. three cpu-simd
-  /// replicas and one cpu-scalar exactness anchor.
-  std::vector<ComputeBackend> replica_backends;
-  /// Assign each shard's collector a CPU round-robin across the whole
-  /// server (util/affinity.h). Replicas whose `config.cpu_affinity` is
-  /// already >= 0 keep their explicit pin.
-  bool pin_collectors = false;
 };
 
 /// Stable payload→shard assignment within a pool of `num_shards` shards.

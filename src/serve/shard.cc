@@ -9,7 +9,6 @@
 #include "eval/report.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/affinity.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -321,15 +320,6 @@ void ServeShard::Finish(const Request& request, ServeResponse response,
 }
 
 void ServeShard::CollectorLoop() {
-  if (config_.cpu_affinity >= 0 &&
-      !PinCurrentThreadToCpu(config_.cpu_affinity)) {
-    RPT_LOG(Warning) << "shard " << config_.name
-                     << ": could not pin collector to cpu "
-                     << config_.cpu_affinity;
-  }
-  // Every forward pass this thread runs dispatches under the shard's
-  // configured backend; other threads are unaffected.
-  ScopedComputeBackend backend_scope(config_.compute_backend);
   // The window is decided once the first request of the batch is in hand
   // (not before blocking), so the decision sees the arrival rate and queue
   // depth of the batch actually forming. The callback runs under the queue

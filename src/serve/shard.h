@@ -93,7 +93,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "nn/backend.h"
 #include "obs/metrics.h"
 #include "serve/adaptive.h"
 #include "serve/lru_cache.h"
@@ -146,16 +145,6 @@ struct ServerConfig {
   /// controller keeps the p95-ish observed wait inside it, never going
   /// below min_batch_delay.
   double target_queue_wait_ms = 5.0;
-  /// Compute backend this shard's collector runs forward passes under
-  /// (nn/backend.h). kAuto inherits the process-wide dispatch policy;
-  /// cpu-scalar / cpu-simd pin kernel dispatch for the collector thread
-  /// only. cpu-int8 additionally requires the session's model to be bound
-  /// to a WeightStore with that backend (the quantized weights live there).
-  ComputeBackend compute_backend = ComputeBackend::kAuto;
-  /// Pin the collector thread to this logical CPU (util/affinity.h);
-  /// -1 leaves it unpinned. RoutedServer can assign these round-robin
-  /// (RouteSpec::pin_collectors).
-  int cpu_affinity = -1;
   /// Dedup exactness knob (see the enum). RoutedServer also reads it: a
   /// non-strict route shards by the normalized payload hash, so variants
   /// of one tuple land on the shard whose cache can absorb them.

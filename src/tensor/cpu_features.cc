@@ -13,9 +13,6 @@ namespace {
 // -1 = no override; otherwise a TensorBackend value.
 std::atomic<int> g_backend_override{-1};
 
-// Per-thread override (ScopedTensorBackendOverride); wins over everything.
-thread_local int g_tls_backend_override = -1;
-
 // Resolves the environment request once; `auto` when unset/unrecognized.
 // Returns -1 for auto, otherwise a TensorBackend value.
 int EnvBackendRequest() {
@@ -74,9 +71,6 @@ bool BuiltWithAvx2() {
 }
 
 TensorBackend ActiveTensorBackend() {
-  if (g_tls_backend_override >= 0) {
-    return Sanitize(static_cast<TensorBackend>(g_tls_backend_override));
-  }
   const int override_value = g_backend_override.load(std::memory_order_acquire);
   if (override_value >= 0) {
     return Sanitize(static_cast<TensorBackend>(override_value));
@@ -96,22 +90,12 @@ const char* TensorBackendName(TensorBackend backend) {
   return "unknown";
 }
 
-void SetTensorBackendOverride(TensorBackend backend) {
-  g_backend_override.store(static_cast<int>(backend),
-                           std::memory_order_release);
-}
-
-void ClearTensorBackendOverride() {
-  g_backend_override.store(-1, std::memory_order_release);
-}
-
 ScopedTensorBackendOverride::ScopedTensorBackendOverride(TensorBackend backend)
-    : prev_(g_tls_backend_override) {
-  g_tls_backend_override = static_cast<int>(backend);
-}
+    : prev_(g_backend_override.exchange(static_cast<int>(backend),
+                                        std::memory_order_acq_rel)) {}
 
 ScopedTensorBackendOverride::~ScopedTensorBackendOverride() {
-  g_tls_backend_override = prev_;
+  g_backend_override.store(prev_, std::memory_order_release);
 }
 
 }  // namespace rpt

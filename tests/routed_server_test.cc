@@ -547,45 +547,6 @@ TEST(RoutedServerTest, MalformedPayloadHammerNeverKillsTheServer) {
   EXPECT_EQ(stats.total.completed, static_cast<uint64_t>(completed.load()));
 }
 
-TEST(RoutedServerTest, PerReplicaBackendsAndPinningServeCorrectly) {
-  // Plumbing smoke for the backend seam: a pool mixing per-replica compute
-  // backends (including an explicit scalar exactness anchor) with pinned
-  // collectors serves byte-identical results; pinning failures degrade to a
-  // warning, never an error.
-  std::vector<RouteSpec> routes;
-  RouteSpec spec;
-  spec.name = "mixed";
-  for (int i = 0; i < 3; ++i) {
-    spec.replicas.push_back(std::make_shared<LabelSession>("mixed"));
-  }
-  spec.config.cache_capacity = 0;
-  spec.replica_backends = {ComputeBackend::kCpuScalar,
-                           ComputeBackend::kCpuSimd,
-                           ComputeBackend::kAuto};
-  spec.pin_collectors = true;
-  routes.push_back(std::move(spec));
-  RoutedServer server(std::move(routes));
-  ASSERT_EQ(server.NumShards("mixed"), 3u);
-  for (int i = 0; i < 30; ++i) {
-    const std::string payload = "req" + std::to_string(i);
-    ServeResponse r = server.Submit("mixed", payload).get();
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    EXPECT_EQ(r.output, "mixed:" + payload);
-  }
-  server.Shutdown();
-}
-
-TEST(RoutedServerTest, MismatchedReplicaBackendsListDies) {
-  ServerConfig config;
-  RouteSpec spec;
-  spec.name = "clean";
-  spec.replicas = {std::make_shared<LabelSession>("clean"),
-                   std::make_shared<LabelSession>("clean")};
-  spec.config = config;
-  spec.replica_backends = {ComputeBackend::kCpuScalar};  // 1 entry, 2 replicas
-  EXPECT_DEATH(RoutedServer({spec}), "replica_backends");
-}
-
 // ---- Exposition: one record per shard ---------------------------------------
 
 /// Value of `name{server="<shard>"<extra>}` in `text`.

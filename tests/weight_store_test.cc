@@ -1,10 +1,9 @@
 // Tests for the shared-weight replica machinery: WeightStore freeze/map,
 // Module::BindWeights pointer identity across replicas, the memory proxy
-// (distinct allocations, not Nx copies), backend exactness tiers (forced
-// scalar bitwise, int8 within the analytic bound), and the guards that keep
-// the shared blob immutable.
+// (distinct allocations, not Nx copies), forced-scalar bitwise exactness,
+// the file-format validation, and the guards that keep the shared blob
+// immutable.
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -12,14 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/backend.h"
 #include "nn/checkpoint.h"
 #include "nn/layers.h"
 #include "nn/transformer.h"
 #include "nn/weight_store.h"
-#include "tensor/quant.h"
+#include "tensor/cpu_features.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace rpt {
 namespace {
@@ -134,9 +133,9 @@ TEST(WeightStoreTest, DistinctAllocationSumIsOneCopyNotN) {
 }
 
 TEST(WeightStoreTest, BoundReplicaIsBitwiseEqualToSourceUnderScalar) {
-  // Exactness tier 1: a replica bound to the frozen store, forced onto the
-  // cpu-scalar backend, reproduces the source model's outputs bit for bit —
-  // even though the replica was initialized from a different seed.
+  // A replica bound to the frozen store, with dispatch forced to scalar,
+  // reproduces the source model's outputs bit for bit — even though the
+  // replica was initialized from a different seed.
   Rng rng_src(10);
   Seq2SeqTransformer source(SmallConfig(40), &rng_src);
   source.SetTraining(false);
@@ -144,8 +143,7 @@ TEST(WeightStoreTest, BoundReplicaIsBitwiseEqualToSourceUnderScalar) {
 
   Rng rng_rep(77);
   Seq2SeqTransformer replica(SmallConfig(40), &rng_rep);
-  ASSERT_TRUE(
-      replica.BindWeights(store, ComputeBackend::kCpuScalar).ok());
+  ASSERT_TRUE(replica.BindWeights(store).ok());
 
   TokenBatch src = TokenBatch::Pack({{1, 2, 3, 4}, {5, 6, 7}}, 0);
   TokenBatch tgt = TokenBatch::Pack({{1, 2, 3}, {4, 5, 6}}, 0);
@@ -153,7 +151,7 @@ TEST(WeightStoreTest, BoundReplicaIsBitwiseEqualToSourceUnderScalar) {
   // Inference-only comparison: without this, the source model (whose params
   // require grad) would build an autograd graph that only Backward() frees.
   NoGradGuard no_grad;
-  ScopedComputeBackend scalar(ComputeBackend::kCpuScalar);
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
   const std::vector<float> expected =
       source.Forward(src, tgt, &fwd_rng).ToVector();
   const std::vector<float> got =
@@ -197,10 +195,46 @@ TEST(WeightStoreTest, SaveMapRoundTripIsBitwiseIdentical) {
   TokenBatch tgt = TokenBatch::Pack({{1, 2}}, 0);
   Rng fwd_rng(1);
   NoGradGuard no_grad;
-  ScopedComputeBackend scalar(ComputeBackend::kCpuScalar);
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
   EXPECT_EQ(source.Forward(src, tgt, &fwd_rng).ToVector(),
             replica.Forward(src, tgt, &fwd_rng).ToVector());
   std::remove(path.c_str());
+}
+
+/// Header fields of a store file, written verbatim by WriteRawStore so a
+/// test can plant sizes that SaveToFile never writes.
+struct RawStore {
+  std::vector<WeightEntry> entries;
+  uint64_t table_bytes = 0;  // 0 writes the real table size
+  uint64_t blob_floats = 0;  // the preamble field
+  size_t payload_floats = 0;  // zero floats actually written as the blob
+};
+
+/// Writes `raw` in the SaveToFile format (see weight_store.h).
+void WriteRawStore(const std::string& path, const RawStore& raw) {
+  BinaryWriter table;
+  table.WriteU64(raw.entries.size());
+  for (const WeightEntry& entry : raw.entries) {
+    table.WriteString(entry.name);
+    table.WriteI64Vector(entry.shape);
+    table.WriteU64(entry.offset);
+    table.WriteU64(entry.numel);
+  }
+  const size_t preamble_bytes = 32;
+  const size_t blob_start =
+      (preamble_bytes + table.bytes().size() + 63) / 64 * 64;
+  BinaryWriter out;
+  out.WriteU32(0x52505457);  // "RPTW"
+  out.WriteU32(1);
+  out.WriteU64(raw.table_bytes != 0 ? raw.table_bytes : table.bytes().size());
+  out.WriteU64(blob_start);
+  out.WriteU64(raw.blob_floats);
+  std::vector<uint8_t> bytes = out.bytes();
+  bytes.insert(bytes.end(), table.bytes().begin(), table.bytes().end());
+  bytes.resize(blob_start + raw.payload_floats * sizeof(float), 0);
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(WeightStoreTest, MapRejectsTruncatedAndCorruptFiles) {
@@ -233,61 +267,49 @@ TEST(WeightStoreTest, MapRejectsTruncatedAndCorruptFiles) {
   EXPECT_FALSE(WeightStore::MapFromFile(path).ok());
 
   EXPECT_FALSE(WeightStore::MapFromFile("/tmp/rpt_no_such_store.bin").ok());
+
+  // Sizes chosen to wrap the checks' arithmetic. First the honest layout of
+  // the Linear(8, 6) store above, which must map.
+  RawStore raw;
+  raw.entries = {{"weight", {8, 6}, 0, 48}, {"bias", {6}, 48, 6}};
+  raw.blob_floats = 64;
+  raw.payload_floats = 64;
+  const std::string crafted = path + ".crafted";
+  WriteRawStore(crafted, raw);
+  ASSERT_TRUE(WeightStore::MapFromFile(crafted).ok());
+
+  // blob_floats + 2^62 makes blob_start + blob_floats * 4 wrap back to the
+  // file size, and an entry offset of 2^40 then points far outside the
+  // mapping.
+  RawStore wrapped_blob = raw;
+  wrapped_blob.blob_floats += uint64_t{1} << 62;
+  wrapped_blob.entries[0].offset = size_t{1} << 40;
+  WriteRawStore(crafted, wrapped_blob);
+  EXPECT_FALSE(WeightStore::MapFromFile(crafted).ok());
+
+  // An entry offset so large that offset + numel wraps below blob_floats.
+  RawStore wrapped_entry = raw;
+  wrapped_entry.entries[1].offset = ~size_t{0} - 2;
+  WriteRawStore(crafted, wrapped_entry);
+  EXPECT_FALSE(WeightStore::MapFromFile(crafted).ok());
+
+  // A shape whose element count overflows int64 (2^32 * 2^32 wraps to the
+  // stated numel of 0).
+  RawStore huge_shape = raw;
+  huge_shape.entries.push_back(
+      {"huge", {int64_t{1} << 32, int64_t{1} << 32}, 0, 0});
+  WriteRawStore(crafted, huge_shape);
+  EXPECT_FALSE(WeightStore::MapFromFile(crafted).ok());
+
+  // A table size that wraps preamble + table_bytes below blob_start.
+  RawStore wrapped_table = raw;
+  wrapped_table.table_bytes = ~uint64_t{0} - 15;
+  WriteRawStore(crafted, wrapped_table);
+  EXPECT_FALSE(WeightStore::MapFromFile(crafted).ok());
+
   std::remove(path.c_str());
   std::remove((path + ".trunc").c_str());
-}
-
-TEST(WeightStoreTest, Int8BoundLinearStaysWithinAnalyticBound) {
-  // Exactness tier 3: the int8 path's error is bounded per output channel
-  // by ErrorBound(j, l1(activation row)) — the rounding half-step.
-  Rng rng(42);
-  Linear source(16, 12, &rng);
-  // Kick weights away from init noise so scales are non-trivial.
-  auto store = WeightStore::Freeze(source);
-
-  Rng rng_rep(7);
-  Linear replica(16, 12, &rng_rep);
-  ASSERT_TRUE(replica.BindWeights(store, ComputeBackend::kCpuInt8).ok());
-  EXPECT_TRUE(replica.uses_int8());
-
-  const QuantizedMatrix* q = store->Quantized("weight");
-  ASSERT_NE(q, nullptr);
-  ASSERT_EQ(q->k, 16);
-  ASSERT_EQ(q->n, 12);
-
-  Rng data_rng(3);
-  Tensor x = Tensor::Randn({5, 16}, 1.0f, &data_rng);
-  NoGradGuard no_grad;
-  const std::vector<float> exact = source.Forward(x).ToVector();
-  const std::vector<float> approx = replica.Forward(x).ToVector();
-  ASSERT_EQ(exact.size(), approx.size());
-  const std::vector<float> xv = x.ToVector();
-  for (int64_t i = 0; i < 5; ++i) {
-    float l1 = 0.0f;
-    for (int64_t p = 0; p < 16; ++p) l1 += std::fabs(xv[i * 16 + p]);
-    for (int64_t j = 0; j < 12; ++j) {
-      const float err = std::fabs(approx[i * 12 + j] - exact[i * 12 + j]);
-      // Small epsilon on top of the analytic bound for fp32 rounding in the
-      // bound evaluation itself.
-      EXPECT_LE(err, q->ErrorBound(j, l1) + 1e-5f)
-          << "row " << i << " col " << j;
-    }
-  }
-}
-
-TEST(WeightStoreTest, Int8ReplicasShareOneQuantizedCopy) {
-  Rng rng(42);
-  Linear source(16, 12, &rng);
-  auto store = WeightStore::Freeze(source);
-  // Quantized() is computed once and cached: same pointer on every call,
-  // so every int8 replica of a route shares one quantized matrix.
-  const QuantizedMatrix* q1 = store->Quantized("weight");
-  const QuantizedMatrix* q2 = store->Quantized("weight");
-  ASSERT_NE(q1, nullptr);
-  EXPECT_EQ(q1, q2);
-  // Non-2D and unknown names are refused, not crashed on.
-  EXPECT_EQ(store->Quantized("bias"), nullptr);
-  EXPECT_EQ(store->Quantized("no_such_param"), nullptr);
+  std::remove(crafted.c_str());
 }
 
 TEST(WeightStoreTest, BindRejectsMissingEntryAndShapeMismatch) {

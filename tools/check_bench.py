@@ -20,8 +20,11 @@ Which metrics gate, and in which direction, is inferred from the name:
   ``built_with_avx2``) is reported but never gates — those move with
   scheduling noise, not performance.
 
-A metric present in only one file is reported, not failed: baselines are
-allowed to trail the bench by one PR in either direction.
+Every baseline metric must be present in the current run, whatever its
+direction: a metric the bench stopped emitting fails, so a gate cannot
+vanish unnoticed. Deleting a metric means deleting it from the baseline in
+the same change. A metric only the current run has is reported, not
+failed, so a new metric can land before its baseline does.
 
 Usage:
   tools/check_bench.py --baseline BENCH_serve.json \
@@ -101,10 +104,14 @@ def main():
         base = baseline.get(name)
         cur = current.get(name)
         if base is None or cur is None:
-            side = "baseline" if cur is None else "current"
+            verdict = "only in current"
+            if cur is None:
+                verdict = "FAIL (missing from run)"
+                regressions.append(f"{name}: in the baseline but missing "
+                                   f"from the current run")
             lines.append(f"{name:<44} {'-' if base is None else f'{base:.6g}':>12} "
                          f"{'-' if cur is None else f'{cur:.6g}':>12} "
-                         f"{'':>7}  only in {side}")
+                         f"{'':>7}  {verdict}")
             continue
         ratio = cur / base if base != 0 else float("inf") if cur else 1.0
         kind = direction(name)

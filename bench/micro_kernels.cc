@@ -1,14 +1,15 @@
 // Microbenchmarks (google-benchmark) for the substrate kernels: GEMM,
 // softmax/layernorm, attention forward/backward, tokenizer, similarity,
-// and blocking throughput.
+// pair features and blocking throughput.
 //
 // Extra modes (see main):
-//   --selftest        correctness + speed gate for the dispatched GEMM and
-//                     for inference attention against the composed graph,
-//                     suitable as a ctest entry (exit code 1 on failure).
+//   --selftest        correctness + speed gate for the dispatched GEMM, for
+//                     inference attention against the composed graph and
+//                     for the pooled encode against the full one, suitable
+//                     as a ctest entry (exit code 1 on failure).
 //   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison plus the
-//                     attention rows, written as BENCH_kernels.json (see
-//                     README "Performance").
+//                     attention and pooled-encode rows, written as
+//                     BENCH_kernels.json (see README "Performance").
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/sim_features.h"
 #include "nn/attention.h"
 #include "nn/transformer.h"
 #include "rpt/blocker.h"
@@ -202,6 +204,25 @@ void BM_QGramJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_QGramJaccard);
 
+// Every labeled pair of one generated ER benchmark per iteration; the items
+// rate is pairs per second.
+void BM_PairFeatures(benchmark::State& state) {
+  ProductUniverse universe(200, 11);
+  auto suite = DefaultBenchmarkSuite(0.5);
+  ErBenchmark bench = GenerateErBenchmark(universe, suite[0]);
+  for (auto _ : state) {
+    for (const LabeledPair& pair : bench.pairs) {
+      auto features =
+          PairFeatures(bench.table_a.schema(), bench.table_a.row(pair.a),
+                       bench.table_b.schema(), bench.table_b.row(pair.b));
+      benchmark::DoNotOptimize(features);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(bench.pairs.size()));
+}
+BENCHMARK(BM_PairFeatures);
+
 void BM_Blocking(benchmark::State& state) {
   ProductUniverse universe(200, 11);
   auto suite = DefaultBenchmarkSuite(0.5);
@@ -335,6 +356,71 @@ AttentionComparison CompareAttention(int64_t batch, int64_t len, int rounds) {
   return result;
 }
 
+// ---- Pooled encode vs the full encode (--selftest / --json-out) ------------
+
+struct PooledEncodeComparison {
+  int64_t batch = 0;
+  int64_t len = 0;
+  double full_ms = 0.0;
+  double pooled_ms = 0.0;
+  double speedup = 0.0;
+  float max_abs_diff = 0.0f;
+};
+
+// The matcher's batch shape: 16 pairs padded to 64 tokens.
+constexpr int64_t kPooledBatch = 16;
+constexpr int64_t kPooledLen = 64;
+
+// EncodePooled (the [CLS]-only last layer) against the full encode sliced
+// to position 0, on the matcher's encoder shape (D=64, H=4, 2 layers, FFN
+// 128) in eval mode under NoGradGuard, with ragged lengths 31..64. Timed
+// like CompareAttention: alternating runs of 8 warm calls, best call each.
+PooledEncodeComparison ComparePooledEncode(int rounds) {
+  Rng rng(9200);
+  TransformerConfig config;
+  config.vocab_size = 500;
+  config.d_model = 64;
+  config.num_heads = 4;
+  config.num_encoder_layers = 2;
+  config.ffn_dim = 128;
+  config.max_seq_len = kPooledLen;
+  TransformerEncoderModel model(config, &rng);
+  model.SetTraining(false);
+  std::vector<std::vector<int32_t>> seqs;
+  for (int64_t b = 0; b < kPooledBatch; ++b) {
+    std::vector<int32_t> seq(static_cast<size_t>(kPooledLen - 3 * (b % 12)));
+    for (auto& id : seq) id = static_cast<int32_t>(10 + rng.UniformInt(400));
+    seqs.push_back(std::move(seq));
+  }
+  const TokenBatch batch = TokenBatch::Pack(seqs, 0);
+
+  PooledEncodeComparison result;
+  result.batch = batch.batch;
+  result.len = batch.len;
+  result.full_ms = result.pooled_ms = 1e30;
+  NoGradGuard no_grad;
+  Tensor full, pooled;
+  constexpr int kRun = 8;
+  for (int round = 0; round < rounds; ++round) {
+    for (int r = 0; r < kRun; ++r) {
+      result.full_ms = std::min(result.full_ms, TimeMs([&] {
+        full = Slice(model.Encode(batch, &rng), 1, 0, 1);
+      }));
+    }
+    for (int r = 0; r < kRun; ++r) {
+      result.pooled_ms = std::min(result.pooled_ms, TimeMs([&] {
+        pooled = model.EncodePooled(batch, &rng);
+      }));
+    }
+  }
+  result.speedup = result.full_ms / result.pooled_ms;
+  for (int64_t i = 0; i < full.numel(); ++i) {
+    result.max_abs_diff =
+        std::max(result.max_abs_diff, std::fabs(full.at(i) - pooled.at(i)));
+  }
+  return result;
+}
+
 // Correctness + speed gate. With AVX2 active the dispatched GEMM must agree
 // with scalar to 1e-4 and must not be slower; with scalar dispatch the
 // comparison is scalar-vs-scalar and passes trivially (diff 0, speedup ~1).
@@ -387,6 +473,25 @@ int RunSelftest() {
       ok = false;
     }
   }
+  // The pooled encode must agree with the full one to 1e-4 (bitwise under
+  // scalar dispatch) and must not be slower than it.
+  const PooledEncodeComparison pooled = ComparePooledEncode(/*rounds=*/5);
+  std::printf(
+      "  encode_pooled [%lld,%lld] D=64 H=4 L=2: full=%.3f ms  "
+      "pooled=%.3f ms  speedup=%.2fx  max_abs_diff=%.3g\n",
+      static_cast<long long>(pooled.batch),
+      static_cast<long long>(pooled.len), pooled.full_ms, pooled.pooled_ms,
+      pooled.speedup, static_cast<double>(pooled.max_abs_diff));
+  if (pooled.max_abs_diff > 1e-4f) {
+    std::printf("  FAIL: encode_pooled max_abs_diff %.3g > 1e-4\n",
+                static_cast<double>(pooled.max_abs_diff));
+    ok = false;
+  }
+  if (pooled.speedup < 1.0) {
+    std::printf("  FAIL: pooled encode slower than the full one (%.2fx)\n",
+                pooled.speedup);
+    ok = false;
+  }
   std::printf("micro_kernels selftest: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
@@ -438,7 +543,18 @@ int WriteJsonReport(const std::string& path) {
     out << buf;
     std::printf("%s", buf);
   }
-  out << "  ]\n}\n";
+  const PooledEncodeComparison pooled = ComparePooledEncode(/*rounds=*/5);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  \"encode_pooled\": {\"batch\": %lld, \"len\": %lld, "
+                "\"full_ms\": %.4f, \"pooled_ms\": %.4f, \"speedup\": %.3f, "
+                "\"max_abs_diff\": %.6g}\n",
+                static_cast<long long>(pooled.batch),
+                static_cast<long long>(pooled.len), pooled.full_ms,
+                pooled.pooled_ms, pooled.speedup,
+                static_cast<double>(pooled.max_abs_diff));
+  out << "  ],\n" << buf << "}\n";
+  std::printf("%s", buf);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -32,15 +32,18 @@ std::vector<double> PairFeatures(const Schema& schema_a, const Tuple& a,
                                  const Schema& schema_b, const Tuple& b) {
   const std::string ca = ConcatTuple(a);
   const std::string cb = ConcatTuple(b);
+  const TextProfile pa(ca);
+  const TextProfile pb(cb);
 
   std::vector<double> features;
   features.reserve(kNumPairFeatures);
   features.push_back(LevenshteinSimilarity(ca, cb));
-  features.push_back(TokenJaccard(ca, cb));
-  features.push_back(QGramJaccard(ca, cb));
-  features.push_back(TokenContainment(ca, cb));
-  features.push_back(TokenCosine(ca, cb));
-  features.push_back(0.5 * (MongeElkan(ca, cb) + MongeElkan(cb, ca)));
+  features.push_back(TokenJaccard(pa, pb));
+  features.push_back(QGramJaccard(pa, pb));
+  features.push_back(TokenContainment(pa, pb));
+  features.push_back(TokenCosine(pa, pb));
+  const auto [monge_ab, monge_ba] = MongeElkanBothWays(pa, pb);
+  features.push_back(0.5 * (monge_ab + monge_ba));
 
   // Shared-column aggregates.
   double col_sim_sum = 0.0;

@@ -64,20 +64,28 @@ Tensor BuildAttentionBias(int64_t batch, int64_t heads, int64_t q_len,
   }
   if (causal) RPT_CHECK_EQ(q_len, k_len);
   Tensor bias = Tensor::Zeros({batch, heads, q_len, k_len});
+  if ((key_valid.empty() && !causal) || bias.numel() == 0) return bias;
+  // Every query row of a sequence starts as the same key row; the causal
+  // tail is filled over it. Heads share the mask, so head 0's block is
+  // built once and copied to the others.
+  std::vector<float> key_row(static_cast<size_t>(k_len), 0.0f);
+  const int64_t block = q_len * k_len;
   float* d = bias.data();
   for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t h = 0; h < heads; ++h) {
-      for (int64_t i = 0; i < q_len; ++i) {
-        float* row = d + ((b * heads + h) * q_len + i) * k_len;
-        for (int64_t j = 0; j < k_len; ++j) {
-          bool masked = false;
-          if (causal && j > i) masked = true;
-          if (!key_valid.empty() && key_valid[b * k_len + j] == 0) {
-            masked = true;
-          }
-          if (masked) row[j] = kNegInf;
-        }
+    if (!key_valid.empty()) {
+      const uint8_t* valid = key_valid.data() + b * k_len;
+      for (int64_t j = 0; j < k_len; ++j) {
+        key_row[static_cast<size_t>(j)] = valid[j] != 0 ? 0.0f : kNegInf;
       }
+    }
+    float* first = d + b * heads * block;
+    for (int64_t i = 0; i < q_len; ++i) {
+      float* row = first + i * k_len;
+      std::copy(key_row.begin(), key_row.end(), row);
+      if (causal) std::fill(row + i + 1, row + k_len, kNegInf);
+    }
+    for (int64_t h = 1; h < heads; ++h) {
+      std::copy(first, first + block, first + h * block);
     }
   }
   return bias;

@@ -82,9 +82,19 @@ TransformerEncoderLayer::TransformerEncoderLayer(
 
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, const Tensor& bias,
                                         Rng* rng) const {
+  return ForwardRows(x, x.dim(1), bias, rng);
+}
+
+Tensor TransformerEncoderLayer::ForwardRows(const Tensor& x, int64_t rows,
+                                            const Tensor& bias,
+                                            Rng* rng) const {
+  RPT_CHECK(rows >= 1 && rows <= x.dim(1)) << "rows out of range: " << rows;
+  const bool all = rows == x.dim(1);
   Tensor normed = ln1_.Forward(x);
-  Tensor attn = self_attn_.Forward(normed, normed, normed, bias, rng);
-  Tensor h = Add(x, dropout_.Forward(attn, rng));
+  const Tensor query = all ? normed : Slice(normed, 1, 0, rows);
+  const Tensor residual = all ? x : Slice(x, 1, 0, rows);
+  Tensor attn = self_attn_.Forward(query, normed, normed, bias, rng);
+  Tensor h = Add(residual, dropout_.Forward(attn, rng));
   Tensor ff = ffn_.Forward(ln2_.Forward(h), rng);
   return Add(h, dropout_.Forward(ff, rng));
 }
@@ -224,23 +234,45 @@ TransformerEncoderModel::TransformerEncoderModel(
   RegisterModule("final_ln", &final_ln_);
 }
 
-Tensor TransformerEncoderModel::Encode(const TokenBatch& batch,
-                                       Rng* rng) const {
+Tensor TransformerEncoderModel::Run(const TokenBatch& batch, bool cls_only,
+                                    Rng* rng) const {
   ScopedStageTiming timing("nn.encode");
   Tensor x = embedding_.Forward(batch, rng);
-  Tensor bias = BuildAttentionBias(batch.batch, config_.num_heads, batch.len,
-                                   batch.len, batch.valid,
-                                   /*causal=*/false);
-  for (const auto& layer : layers_) {
-    x = layer->Forward(x, bias, rng);
+  const size_t full_layers = layers_.size() - (cls_only ? 1 : 0);
+  if (full_layers > 0) {
+    const Tensor bias =
+        BuildAttentionBias(batch.batch, config_.num_heads, batch.len,
+                           batch.len, batch.valid, /*causal=*/false);
+    for (size_t l = 0; l < full_layers; ++l) {
+      x = layers_[l]->Forward(x, bias, rng);
+    }
+  }
+  if (cls_only) {
+    const Tensor cls_bias =
+        BuildAttentionBias(batch.batch, config_.num_heads, /*q_len=*/1,
+                           batch.len, batch.valid, /*causal=*/false);
+    x = layers_.back()->ForwardRows(x, /*rows=*/1, cls_bias, rng);
   }
   return final_ln_.Forward(x);
 }
 
+Tensor TransformerEncoderModel::Encode(const TokenBatch& batch,
+                                       Rng* rng) const {
+  return Run(batch, /*cls_only=*/false, rng);
+}
+
 Tensor TransformerEncoderModel::EncodePooled(const TokenBatch& batch,
                                              Rng* rng) const {
-  Tensor states = Encode(batch, rng);  // [B, T, D]
-  Tensor first = Slice(states, 1, 0, 1);
+  // The last layer's other rows reach the result only through a gradient
+  // or the dropout draws, so only an untracked, dropout-free call drops
+  // them.
+  bool tracked = false;
+  if (AutogradEnabled()) {
+    for (const Tensor& p : Parameters()) tracked = tracked || p.requires_grad();
+  }
+  const bool dropout_active = training() && config_.dropout > 0.0f;
+  const bool cls_only = !tracked && !dropout_active && !layers_.empty();
+  Tensor first = Slice(Run(batch, cls_only, rng), 1, 0, 1);
   return Reshape(first, {batch.batch, config_.d_model});
 }
 

@@ -75,7 +75,19 @@ class FeedForward : public Module {
 class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(const TransformerConfig& config, Rng* rng);
+
+  /// x [B, T, D], bias [B, H, T, T] (may be undefined) -> [B, T, D].
   Tensor Forward(const Tensor& x, const Tensor& bias, Rng* rng) const;
+
+  /// The same layer for the first `rows` positions of each sequence only:
+  /// LN1 and the K/V projections still cover all T positions, while the Q
+  /// projection, attention, `out_proj`, both residual adds, LN2 and the FFN
+  /// run on `rows` rows. `bias` is [B, H, rows, T]; the result is
+  /// [B, rows, D]. Forward is this call with rows == T. Every op on the
+  /// query side works row by row, so under scalar dispatch each output row
+  /// is bit-identical to the same row of the full call.
+  Tensor ForwardRows(const Tensor& x, int64_t rows, const Tensor& bias,
+                     Rng* rng) const;
 
  private:
   LayerNormLayer ln1_;
@@ -149,12 +161,25 @@ class TransformerEncoderModel : public Module {
   Tensor Encode(const TokenBatch& batch, Rng* rng) const;
 
   /// Hidden state of position 0 (conventionally [CLS]) for each sequence:
-  /// [B, D].
+  /// [B, D]. Equal to `Reshape(Slice(Encode(batch), 1, 0, 1), {B, D})`.
+  ///
+  /// An untracked call with dropout inactive (the rule the fused GEMM and
+  /// the attention panels use) computes only what it returns: layers
+  /// 0..L-2 run in full and the last layer runs for position 0 alone
+  /// (TransformerEncoderLayer::ForwardRows with a [B, H, 1, T] bias), as
+  /// does the final LN. The full [B, H, T, T] bias is built only when
+  /// L > 1. Bitwise equal to the full call under scalar dispatch. A
+  /// tracked or dropout-active call runs Encode and slices, so its graph,
+  /// gradients and dropout draws are unchanged.
   Tensor EncodePooled(const TokenBatch& batch, Rng* rng) const;
 
   const TransformerConfig& config() const { return config_; }
 
  private:
+  /// Embedding, encoder layers and final LN. With `cls_only`, the last
+  /// layer and the final LN run for position 0 only ([B, 1, D]).
+  Tensor Run(const TokenBatch& batch, bool cls_only, Rng* rng) const;
+
   TransformerConfig config_;
   InputEmbedding embedding_;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;

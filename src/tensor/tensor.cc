@@ -80,14 +80,12 @@ std::shared_ptr<TensorImpl> NewImpl(std::vector<int64_t> shape) {
   return impl;
 }
 
-// Builds the output impl of an op and decides whether to track gradients.
-// `backward` is only attached when tracking. Parents that do not require
-// grad are still recorded so the backward closure can read their data.
-Tensor MakeOpResult(
-    std::vector<int64_t> shape,
-    std::vector<std::shared_ptr<TensorImpl>> parents,
-    const std::function<void(TensorImpl&)>& make_backward_unused = nullptr) {
-  (void)make_backward_unused;
+// Builds the output impl of an op and decides whether to track gradients;
+// AttachBackward adds the closure only when it does. Parents that do not
+// require grad are still recorded so the backward closure can read their
+// data.
+Tensor MakeOpResult(std::vector<int64_t> shape,
+                    std::vector<std::shared_ptr<TensorImpl>> parents) {
   auto impl = NewImpl(std::move(shape));
   bool track = g_autograd_enabled;
   if (track) {

@@ -9,6 +9,8 @@
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "nn/attention.h"
@@ -78,6 +80,19 @@ TEST(ModuleTest, SetTrainingPropagates) {
   EXPECT_FALSE(mha.training());
 }
 
+// Key-validity flags for `batch` rows of `len` keys; row b keeps
+// len - 2*b valid keys (at least one), so later rows are padded.
+std::vector<uint8_t> PaddedValid(int64_t batch, int64_t len) {
+  std::vector<uint8_t> valid(static_cast<size_t>(batch * len), 1);
+  for (int64_t b = 0; b < batch; ++b) {
+    const int64_t keep = std::max<int64_t>(1, len - 2 * b);
+    for (int64_t t = keep; t < len; ++t) {
+      valid[static_cast<size_t>(b * len + t)] = 0;
+    }
+  }
+  return valid;
+}
+
 TEST(AttentionBiasTest, CausalMasking) {
   Tensor bias = BuildAttentionBias(1, 1, 3, 3, {}, /*causal=*/true);
   // Row 0 can only see col 0.
@@ -96,6 +111,49 @@ TEST(AttentionBiasTest, PaddingMasking) {
       EXPECT_EQ(bias.at((h * 2 + i) * 3 + 0), 0.0f);
       EXPECT_EQ(bias.at((h * 2 + i) * 3 + 1), 0.0f);
       EXPECT_LT(bias.at((h * 2 + i) * 3 + 2), -1e8f);
+    }
+  }
+}
+
+// Element-by-element reference: the definition BuildAttentionBias must meet.
+std::vector<float> NaiveAttentionBias(int64_t batch, int64_t heads,
+                                      int64_t q_len, int64_t k_len,
+                                      const std::vector<uint8_t>& key_valid,
+                                      bool causal) {
+  std::vector<float> out;
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t h = 0; h < heads; ++h) {
+      for (int64_t i = 0; i < q_len; ++i) {
+        for (int64_t j = 0; j < k_len; ++j) {
+          const bool masked =
+              (causal && j > i) ||
+              (!key_valid.empty() && key_valid[b * k_len + j] == 0);
+          out.push_back(masked ? -1e9f : 0.0f);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AttentionBiasTest, MatchesElementwiseReferenceBitForBit) {
+  const int64_t batch = 4, heads = 3;
+  for (int64_t len : {1, 2, 7, 16}) {
+    const std::vector<std::vector<uint8_t>> masks = {
+        {}, PaddedValid(batch, len)};
+    for (const std::vector<uint8_t>& keys : masks) {
+      for (bool causal : {false, true}) {
+        SCOPED_TRACE("T=" + std::to_string(len) +
+                     (keys.empty() ? " all-valid" : " padded") +
+                     (causal ? " causal" : ""));
+        EXPECT_EQ(BuildAttentionBias(batch, heads, len, len, keys, causal)
+                      .ToVector(),
+                  NaiveAttentionBias(batch, heads, len, len, keys, causal));
+      }
+      // One query row (the [CLS] row of a pooled encode) against T keys.
+      EXPECT_EQ(BuildAttentionBias(batch, heads, 1, len, keys, false)
+                    .ToVector(),
+                NaiveAttentionBias(batch, heads, 1, len, keys, false));
     }
   }
 }
@@ -150,19 +208,6 @@ void ExpectMatchesComposed(const Tensor& inference, const Tensor& composed) {
       ASSERT_NEAR(inference.at(i), composed.at(i), 1e-4) << "element " << i;
     }
   }
-}
-
-// Key-validity flags for `batch` rows of `len` keys; row b keeps
-// len - 2*b valid keys (at least one), so later rows are padded.
-std::vector<uint8_t> PaddedValid(int64_t batch, int64_t len) {
-  std::vector<uint8_t> valid(static_cast<size_t>(batch * len), 1);
-  for (int64_t b = 0; b < batch; ++b) {
-    const int64_t keep = std::max<int64_t>(1, len - 2 * b);
-    for (int64_t t = keep; t < len; ++t) {
-      valid[static_cast<size_t>(b * len + t)] = 0;
-    }
-  }
-  return valid;
 }
 
 TEST(InferenceAttentionTest, SelfAttentionMatchesComposedGraph) {
@@ -311,6 +356,112 @@ TEST(EncoderModelTest, EncodeShapes) {
   ASSERT_EQ(pooled.shape(), (std::vector<int64_t>{2, 32}));
 }
 
+// ---- Pooled encode ([CLS]-only last layer) vs the full encode ---------------
+
+// The reference a pooled call must equal: the full encode, position 0.
+Tensor PooledReference(const TransformerEncoderModel& model,
+                       const TokenBatch& batch, Rng* rng) {
+  return Reshape(Slice(model.Encode(batch, rng), 1, 0, 1),
+                 {batch.batch, model.config().d_model});
+}
+
+// `count` sequences whose lengths cycle through `lengths`.
+TokenBatch MixedLengthBatch(int64_t count, const std::vector<int64_t>& lengths,
+                            Rng* rng) {
+  std::vector<std::vector<int32_t>> seqs;
+  for (int64_t i = 0; i < count; ++i) {
+    std::vector<int32_t> seq(
+        static_cast<size_t>(lengths[static_cast<size_t>(i) % lengths.size()]));
+    for (auto& id : seq) id = static_cast<int32_t>(1 + rng->UniformInt(49));
+    seqs.push_back(std::move(seq));
+  }
+  return TokenBatch::Pack(seqs, 0);
+}
+
+TEST(EncoderModelTest, PooledMatchesSliceOfFullEncode) {
+  const bool exact = ActiveTensorBackend() == TensorBackend::kScalar;
+  for (int64_t layers : {1, 2, 3}) {
+    Rng rng(40 + layers);
+    TransformerConfig config = SmallConfig(50);
+    config.num_encoder_layers = layers;
+    config.dropout = 0.1f;  // configured, inactive in eval mode
+    TransformerEncoderModel model(config, &rng);
+    model.SetTraining(false);
+    const int64_t max_len = config.max_seq_len;
+    const std::vector<TokenBatch> batches = {
+        MixedLengthBatch(5, {1, max_len, 3, max_len - 1, 1}, &rng),
+        MixedLengthBatch(1, {7}, &rng),
+        MixedLengthBatch(1, {1}, &rng),
+        MixedLengthBatch(16, {2, 9, 30, 1}, &rng),
+    };
+    for (const TokenBatch& batch : batches) {
+      SCOPED_TRACE("L=" + std::to_string(layers) +
+                   " B=" + std::to_string(batch.batch) +
+                   " T=" + std::to_string(batch.len));
+      NoGradGuard no_grad;
+      Rng pooled_rng(7), full_rng(7);
+      const Tensor pooled = model.EncodePooled(batch, &pooled_rng);
+      const Tensor full = PooledReference(model, batch, &full_rng);
+      ASSERT_EQ(pooled.shape(), full.shape());
+      for (int64_t i = 0; i < full.numel(); ++i) {
+        if (exact) {
+          ASSERT_EQ(pooled.at(i), full.at(i)) << "element " << i;
+        } else {
+          ASSERT_NEAR(pooled.at(i), full.at(i), 1e-4) << "element " << i;
+        }
+      }
+      EXPECT_EQ(pooled_rng.Next(), full_rng.Next());
+    }
+  }
+}
+
+// A tracked call and a training-mode call must run the full encode: the
+// same dropout draws (RNG state afterwards) and, when tracked, the same
+// gradients as slicing Encode.
+TEST(EncoderModelTest, TrackedAndTrainingPooledCallsKeepTheFullPath) {
+  Rng rng(45);
+  TransformerConfig config = SmallConfig(50);
+  config.num_encoder_layers = 2;
+  config.dropout = 0.1f;
+  TransformerEncoderModel model(config, &rng);
+  const TokenBatch batch = MixedLengthBatch(4, {1, 6, 11, 3}, &rng);
+  const Tensor weights = Tensor::Randn({4, config.d_model}, 1.0f, &rng);
+
+  // Loss = sum(pooled * weights); returns every parameter gradient.
+  const auto gradients = [&](const Tensor& pooled) {
+    model.ZeroGrad();
+    Sum(Mul(pooled, weights)).Backward();
+    std::vector<std::vector<float>> out;
+    for (const Tensor& p : model.Parameters()) {
+      out.push_back(p.has_grad() ? std::vector<float>(p.grad_data(),
+                                                      p.grad_data() + p.numel())
+                                 : std::vector<float>());
+    }
+    return out;
+  };
+
+  for (bool training : {false, true}) {
+    SCOPED_TRACE(training ? "training mode, tracked" : "eval mode, tracked");
+    model.SetTraining(training);
+    Rng pooled_rng(9), full_rng(9);
+    const Tensor pooled = model.EncodePooled(batch, &pooled_rng);
+    const Tensor full = PooledReference(model, batch, &full_rng);
+    EXPECT_EQ(pooled.ToVector(), full.ToVector());
+    EXPECT_EQ(pooled_rng.Next(), full_rng.Next());
+    EXPECT_EQ(gradients(pooled), gradients(full));
+  }
+
+  // Untracked but training mode: dropout draws over every position.
+  SCOPED_TRACE("training mode, untracked");
+  model.SetTraining(true);
+  NoGradGuard no_grad;
+  Rng pooled_rng(11), full_rng(11);
+  const Tensor pooled = model.EncodePooled(batch, &pooled_rng);
+  const Tensor full = PooledReference(model, batch, &full_rng);
+  EXPECT_EQ(pooled.ToVector(), full.ToVector());
+  EXPECT_EQ(pooled_rng.Next(), full_rng.Next());
+}
+
 TEST(Seq2SeqTest, ForwardShapes) {
   Rng rng(9);
   auto config = SmallConfig(50);
@@ -371,13 +522,19 @@ TEST(OptimizerTest, WarmupScheduleShape) {
   EXPECT_NEAR(sched.LearningRate(100), 1e-3f, 1e-6);
 }
 
+// ctest runs this suite under three backends at once, so each process
+// writes its own checkpoint files.
+std::string CheckpointPath(const std::string& name) {
+  return "/tmp/" + std::to_string(getpid()) + "_" + name;
+}
+
 TEST(CheckpointTest, SaveLoadRoundTrip) {
   Rng rng1(10), rng2(11);
   auto config = SmallConfig(20);
   Seq2SeqTransformer model1(config, &rng1);
   Seq2SeqTransformer model2(config, &rng2);
 
-  const std::string path = "/tmp/rpt_test_checkpoint.bin";
+  const std::string path = CheckpointPath("rpt_test_checkpoint.bin");
   ASSERT_TRUE(SaveCheckpoint(model1, path).ok());
   ASSERT_TRUE(LoadCheckpoint(&model2, path).ok());
 
@@ -398,7 +555,7 @@ TEST(CheckpointTest, LoadRejectsTrailingGarbage) {
   Rng rng1(13), rng2(14);
   auto config = SmallConfig(20);
   Seq2SeqTransformer model(config, &rng1);
-  const std::string path = "/tmp/rpt_test_checkpoint_padded.bin";
+  const std::string path = CheckpointPath("rpt_test_checkpoint_padded.bin");
   ASSERT_TRUE(SaveCheckpoint(model, path).ok());
   {
     std::ofstream pad(path, std::ios::binary | std::ios::app);
@@ -421,7 +578,7 @@ TEST(CheckpointTest, SaveReplacesExistingCheckpointAtomically) {
   auto config = SmallConfig(20);
   Seq2SeqTransformer old_model(config, &rng1);
   Seq2SeqTransformer new_model(config, &rng2);
-  const std::string path = "/tmp/rpt_test_checkpoint_atomic.bin";
+  const std::string path = CheckpointPath("rpt_test_checkpoint_atomic.bin");
   ASSERT_TRUE(SaveCheckpoint(old_model, path).ok());
   ASSERT_TRUE(SaveCheckpoint(new_model, path).ok());
   {
@@ -447,7 +604,7 @@ TEST(CheckpointTest, PartialWriteNeverShadowsThePreviousCheckpoint) {
   Rng rng1(23), rng2(24);
   auto config = SmallConfig(20);
   Seq2SeqTransformer model(config, &rng1);
-  const std::string path = "/tmp/rpt_test_checkpoint_partial.bin";
+  const std::string path = CheckpointPath("rpt_test_checkpoint_partial.bin");
   ASSERT_TRUE(SaveCheckpoint(model, path).ok());
   {
     // Simulate a writer that died partway through its temp file.
@@ -480,7 +637,7 @@ TEST(CheckpointTest, LoadRejectsWrongArchitecture) {
   Rng rng(12);
   auto config = SmallConfig(20);
   Seq2SeqTransformer model(config, &rng);
-  const std::string path = "/tmp/rpt_test_checkpoint2.bin";
+  const std::string path = CheckpointPath("rpt_test_checkpoint2.bin");
   ASSERT_TRUE(SaveCheckpoint(model, path).ok());
 
   auto other_config = SmallConfig(21);  // different vocab size

@@ -1,6 +1,9 @@
 // Tests for the text module: vocab, tokenizer, similarity measures.
 
+#include <algorithm>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 #include "text/vocab.h"
+#include "util/rng.h"
 #include "util/serialize.h"
 
 namespace rpt {
@@ -132,6 +136,46 @@ TEST(SimilarityTest, LevenshteinBasics) {
   EXPECT_EQ(LevenshteinDistance("abc", "abc"), 0);
 }
 
+// Full (n+1) x (m+1) matrix edit distance: the textbook recurrence the
+// one-row implementation must reproduce.
+int64_t FullMatrixLevenshtein(const std::string& a, const std::string& b) {
+  std::vector<std::vector<int64_t>> d(a.size() + 1,
+                                      std::vector<int64_t>(b.size() + 1));
+  for (size_t i = 0; i <= a.size(); ++i) d[i][0] = static_cast<int64_t>(i);
+  for (size_t j = 0; j <= b.size(); ++j) d[0][j] = static_cast<int64_t>(j);
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      const int64_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + cost});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+TEST(SimilarityTest, LevenshteinMatchesFullMatrixReference) {
+  // A 3-letter alphabet makes matches and near-matches common.
+  Rng rng(2024);
+  const auto random_string = [&rng](int64_t max_len) {
+    std::string s(static_cast<size_t>(rng.UniformRange(0, max_len)), 'a');
+    for (char& c : s) c = static_cast<char>('a' + rng.UniformInt(3));
+    return s;
+  };
+  std::vector<std::string> fixed = {"", "a", "b", "ab", "ba"};
+  for (const auto& a : fixed) {
+    for (const auto& b : fixed) {
+      EXPECT_EQ(LevenshteinDistance(a, b), FullMatrixLevenshtein(a, b))
+          << "'" << a << "' vs '" << b << "'";
+    }
+  }
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::string a = random_string(trial % 2 == 0 ? 1 : 24);
+    const std::string b = random_string(24);
+    ASSERT_EQ(LevenshteinDistance(a, b), FullMatrixLevenshtein(a, b))
+        << "'" << a << "' vs '" << b << "'";
+  }
+}
+
 TEST(SimilarityTest, LevenshteinSimilarityRange) {
   EXPECT_EQ(LevenshteinSimilarity("", ""), 1.0);
   EXPECT_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
@@ -186,7 +230,9 @@ class SimilaritySymmetryTest
 
 TEST_P(SimilaritySymmetryTest, SymmetricAndBounded) {
   auto [a, b] = GetParam();
-  for (auto fn : {TokenJaccard, TokenCosine, TokenContainment}) {
+  using Measure = double (*)(std::string_view, std::string_view);
+  for (Measure fn : std::initializer_list<Measure>{
+           TokenJaccard, TokenCosine, TokenContainment}) {
     double ab = fn(a, b);
     double ba = fn(b, a);
     EXPECT_DOUBLE_EQ(ab, ba);

@@ -15,13 +15,9 @@
 // shards overlap their passes even on one host core: scaling 1→4 shards
 // demonstrates near-linear throughput growth with outputs bit-identical to
 // single-session serving, and a mixed cleaner+matcher+extractor workload
-// exercises one front-end over three routes. An adaptive-batching section
-// replays the same open-loop arrival patterns (lone requests, partial
-// bursts, full saturation) under the fixed and adaptive straggler-window
-// policies: adaptive should cut low-rate latency sharply (no waiting for
-// company that never comes) while matching fixed throughput at saturation,
-// with outputs bit-identical throughout. A final section serves a real
-// (tiny) RPT-C cleaner to show the end-to-end path.
+// exercises one front-end over three routes. A final section serves a real
+// (tiny) RPT-C cleaner, under the default work-conserving collector, to
+// show the end-to-end path.
 //
 // `--smoke` (or `--quick`) runs a small correctness-only subset
 // (bit-identity and stats reconciliation, no timing assertions) for CI.
@@ -362,169 +358,6 @@ void MixedRoutedWorkload(bool smoke) {
             stats.total.batches == sum.batches &&
             stats.total.submitted == static_cast<uint64_t>(requests),
         "aggregated routed stats reconcile with per-shard sums");
-}
-
-// ---- Adaptive micro-batching ------------------------------------------------
-
-/// One window's run over an arrival pattern: client-observed latency,
-/// throughput, scheduling stats, and the full payload->output map for the
-/// bit-identity check.
-struct AdaptiveOutcome {
-  double mean_ms = 0, p95_ms = 0, rps = 0, mean_batch = 0;
-  uint64_t adjustments = 0;
-  std::map<std::string, std::string> outputs;
-  bool all_ok = true;
-};
-
-/// Serves `bursts` (groups of payloads submitted back to back, `gap` apart)
-/// through one device-bound shard whose straggler window may adapt down to
-/// `min_delay` (min_delay == max_batch_delay is the fixed window). The
-/// arrival pattern is open-loop, so both windows face the same offered load
-/// and differ only in how long their collector waits for company.
-AdaptiveOutcome RunAdaptiveWindow(
-    microseconds min_delay, const std::vector<std::vector<std::string>>& bursts,
-    microseconds gap) {
-  auto session = std::make_shared<SyntheticSession>(
-      microseconds(200), microseconds(20), SyntheticWait::kSleep);
-  ServerConfig config;
-  config.max_batch_size = 16;
-  config.max_batch_delay = microseconds(2000);
-  config.queue_capacity = 4096;
-  config.cache_capacity = 0;  // every request crosses the model
-  config.min_batch_delay = min_delay;
-  config.target_queue_wait_ms = 5.0;
-  ServeShard server(session, config);
-
-  std::vector<std::string> order;
-  std::vector<std::future<ServeResponse>> futures;
-  const auto start = steady_clock::now();
-  for (size_t b = 0; b < bursts.size(); ++b) {
-    if (b > 0 && gap.count() > 0) std::this_thread::sleep_for(gap);
-    for (const auto& payload : bursts[b]) {
-      order.push_back(payload);
-      futures.push_back(server.Submit(payload));
-    }
-  }
-
-  AdaptiveOutcome out;
-  std::vector<double> lats;
-  lats.reserve(futures.size());
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ServeResponse r = futures[i].get();
-    if (!r.status.ok()) out.all_ok = false;
-    lats.push_back(r.latency_ms);
-    out.outputs[order[i]] = r.output;
-  }
-  out.rps = static_cast<double>(futures.size()) / SecondsSince(start);
-  server.Shutdown();
-
-  for (const double l : lats) out.mean_ms += l;
-  out.mean_ms /= static_cast<double>(lats.size());
-  std::sort(lats.begin(), lats.end());
-  out.p95_ms = lats[lats.size() * 95 / 100];
-  ServerStatsSnapshot stats = server.Stats();
-  out.mean_batch = stats.mean_batch_size;
-  out.adjustments = stats.adapt_adjustments;
-  return out;
-}
-
-void AdaptiveBatching(bool smoke) {
-  rpt::PrintBanner("adaptive micro-batching: fixed vs adaptive window");
-  std::printf(
-      "fixed (min_batch_delay == max_batch_delay == 2000us) always waits "
-      "the full\nwindow for stragglers; adaptive (min_batch_delay 100us) "
-      "retunes it per\nbatch from the decayed arrival rate (queue-wait "
-      "budget 5ms). Same\ndevice-bound session, same open-loop "
-      "arrivals.\n\n");
-
-  struct Regime {
-    const char* name;
-    std::vector<std::vector<std::string>> bursts;
-    microseconds gap;
-  };
-  std::vector<Regime> regimes;
-  auto payload = [](const char* tag, int i) {
-    return std::string(tag) + "_" + std::to_string(i);
-  };
-  {
-    // Low rate: lone requests 2.5ms apart — nobody else is coming, so any
-    // straggler wait is pure latency tax on the one request paying it.
-    Regime low{"low-rate", {}, microseconds(2500)};
-    const int n = smoke ? 24 : 160;
-    for (int i = 0; i < n; ++i) low.bursts.push_back({payload("low", i)});
-    regimes.push_back(std::move(low));
-  }
-  {
-    // Bursty: 12-request bursts (batch size 16) every 5ms — the batch will
-    // never fill, so the window decides how long the burst idles.
-    Regime bursty{"bursty", {}, microseconds(5000)};
-    const int n = smoke ? 4 : 16;
-    for (int b = 0; b < n; ++b) {
-      std::vector<std::string> burst;
-      for (int i = 0; i < 12; ++i) burst.push_back(payload("burst", b * 12 + i));
-      bursty.bursts.push_back(std::move(burst));
-    }
-    regimes.push_back(std::move(bursty));
-  }
-  {
-    // Saturating: everything at once — batches fill instantly and the
-    // window should never be paid by anyone.
-    Regime sat{"saturating", {{}}, microseconds(0)};
-    const int n = smoke ? 64 : 256;
-    for (int i = 0; i < n; ++i) sat.bursts[0].push_back(payload("sat", i));
-    regimes.push_back(std::move(sat));
-  }
-
-  ReportTable table({"regime", "window", "mean ms", "p95 ms", "req/s",
-                     "mean batch", "adjustments"});
-  double low_fixed_ms = 0, low_adaptive_ms = 0;
-  double sat_fixed_rps = 0, sat_adaptive_rps = 0;
-  for (const Regime& regime : regimes) {
-    const AdaptiveOutcome fixed =
-        RunAdaptiveWindow(microseconds(2000), regime.bursts, regime.gap);
-    const AdaptiveOutcome adaptive =
-        RunAdaptiveWindow(microseconds(100), regime.bursts, regime.gap);
-    table.AddRow({regime.name, "fixed", rpt::Fixed(fixed.mean_ms, 2),
-                  rpt::Fixed(fixed.p95_ms, 2), rpt::Fixed(fixed.rps, 0),
-                  rpt::Fixed(fixed.mean_batch, 2),
-                  std::to_string(fixed.adjustments)});
-    table.AddRow({regime.name, "adaptive", rpt::Fixed(adaptive.mean_ms, 2),
-                  rpt::Fixed(adaptive.p95_ms, 2), rpt::Fixed(adaptive.rps, 0),
-                  rpt::Fixed(adaptive.mean_batch, 2),
-                  std::to_string(adaptive.adjustments)});
-    const std::string identical =
-        std::string(regime.name) + ": adaptive outputs bit-identical to fixed";
-    Check(fixed.all_ok && adaptive.all_ok && fixed.outputs == adaptive.outputs,
-          identical.c_str());
-    if (std::strcmp(regime.name, "low-rate") == 0) {
-      low_fixed_ms = fixed.mean_ms;
-      low_adaptive_ms = adaptive.mean_ms;
-    } else if (std::strcmp(regime.name, "saturating") == 0) {
-      sat_fixed_rps = fixed.rps;
-      sat_adaptive_rps = adaptive.rps;
-    }
-  }
-  std::printf("\n");
-  table.Print();
-
-  if (!smoke) {
-    // Timing targets only mean something in full runs on a quiet machine.
-    if (low_adaptive_ms <= 0.8 * low_fixed_ms) {
-      std::printf("\nOK: adaptive cut low-rate mean latency by >=20%% "
-                  "(%.2fms -> %.2fms)\n", low_fixed_ms, low_adaptive_ms);
-    } else {
-      std::printf("\nWARNING: adaptive low-rate latency win below 20%% "
-                  "(%.2fms -> %.2fms)\n", low_fixed_ms, low_adaptive_ms);
-    }
-    if (sat_adaptive_rps >= 0.95 * sat_fixed_rps) {
-      std::printf("OK: adaptive saturating throughput within 5%% of fixed "
-                  "(%.0f vs %.0f req/s)\n", sat_adaptive_rps, sat_fixed_rps);
-    } else {
-      std::printf("WARNING: adaptive saturating throughput trails fixed by "
-                  ">5%% (%.0f vs %.0f req/s)\n", sat_adaptive_rps,
-                  sat_fixed_rps);
-    }
-  }
 }
 
 // ---- Shared-weight replicas -------------------------------------------------
@@ -953,7 +786,6 @@ void ServeRealCleaner() {
   auto session = std::make_shared<CleanerSession>(&cleaner, table.schema());
   ServerConfig server_config;
   server_config.max_batch_size = 8;
-  server_config.max_batch_delay = microseconds(2000);
   ServeShard server(session, server_config);
 
   constexpr int kCleanerRequests = 32;
@@ -1032,7 +864,6 @@ int main(int argc, char** argv) {
     // meaningful in full runs.
     RoutedScaling(/*smoke=*/true);
     MixedRoutedWorkload(/*smoke=*/true);
-    AdaptiveBatching(/*smoke=*/true);
     WeightSharing(/*smoke=*/true);
     SemanticDedup(/*smoke=*/true);
     std::printf("\nsmoke: %d failure(s)\n", g_failures);
@@ -1074,7 +905,6 @@ int main(int argc, char** argv) {
 
   RoutedScaling(/*smoke=*/false);
   MixedRoutedWorkload(/*smoke=*/false);
-  AdaptiveBatching(/*smoke=*/false);
   WeightSharing(/*smoke=*/false);
   SemanticDedup(/*smoke=*/false);
   ServeRealCleaner();

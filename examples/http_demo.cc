@@ -134,7 +134,6 @@ std::vector<RouteSpec> ModelRoutes() {
 
   ServerConfig config;
   config.max_batch_size = 8;
-  config.max_batch_delay = std::chrono::microseconds(2000);
   config.cache_capacity = 64;
   std::vector<RouteSpec> routes;
   routes.push_back(

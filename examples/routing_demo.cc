@@ -15,14 +15,6 @@
 // tracing (plus the nn-stage exporter) and writes the spans as Chrome
 // trace_event JSON — open it in chrome://tracing or Perfetto.
 //
-// `--adaptive` sets min_batch_delay below max_batch_delay on every route,
-// which opens the straggler window's adaptive range (serve/adaptive.h):
-// each shard's collector retunes its batching delay between the two from
-// the observed arrival rate instead of always waiting the full
-// max_batch_delay. Outputs are identical either way; the stats report
-// gains an "adaptive delay adjustments" row showing the controller at
-// work.
-//
 // Build & run:  cmake -B build && cmake --build build &&
 //               ./build/examples/routing_demo
 
@@ -115,18 +107,14 @@ std::unique_ptr<RptExtractor> TrainExtractor(
 
 int main(int argc, char** argv) {
   bool print_metrics = false;
-  bool adaptive = false;
   const char* trace_out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0) {
       print_metrics = true;
-    } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-      adaptive = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--metrics] [--adaptive] [--trace-out PATH]\n",
+      std::fprintf(stderr, "usage: %s [--metrics] [--trace-out PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -161,13 +149,7 @@ int main(int argc, char** argv) {
 
   ServerConfig clean_config;
   clean_config.max_batch_size = 8;
-  clean_config.max_batch_delay = std::chrono::microseconds(2000);
   clean_config.cache_capacity = 64;
-  if (adaptive) {
-    clean_config.min_batch_delay = std::chrono::microseconds(100);
-    std::printf("batching policy: adaptive (window 100..2000us, "
-                "5ms queue-wait budget)\n\n");
-  }
   ServerConfig extract_config = clean_config;
 
   std::vector<RouteSpec> routes;

@@ -76,7 +76,6 @@ int main() {
   auto session = std::make_shared<CleanerSession>(&cleaner, table.schema());
   ServerConfig server_config;
   server_config.max_batch_size = 8;
-  server_config.max_batch_delay = std::chrono::microseconds(2000);
   server_config.cache_capacity = 64;
   ServeShard server(session, server_config);
 

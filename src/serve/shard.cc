@@ -37,17 +37,6 @@ Status ShutDownStatus() {
   return Status::Unavailable("server is shut down, not accepting work");
 }
 
-/// The controller's bounds for one shard. An unset (or too large)
-/// min_batch_delay collapses the range to max_batch_delay: a fixed window.
-AdaptiveConfig ControllerConfig(const ServerConfig& config) {
-  AdaptiveConfig adaptive;
-  adaptive.max_batch_size = config.max_batch_size;
-  adaptive.min_delay = std::min(config.min_batch_delay, config.max_batch_delay);
-  adaptive.max_delay = config.max_batch_delay;
-  adaptive.target_queue_wait_ms = config.target_queue_wait_ms;
-  return adaptive;
-}
-
 }  // namespace
 
 std::string ServerStatsSnapshot::Render(const std::string& name) const {
@@ -68,10 +57,6 @@ std::string ServerStatsSnapshot::Render(const std::string& name) const {
   counters.AddRow({"near-dup cache hits", std::to_string(neardup_hits)});
   counters.AddRow({"forward passes", std::to_string(batches)});
   counters.AddRow({"mean batch size", Fixed(mean_batch_size, 2)});
-  if (adapt_adjustments > 0) {
-    counters.AddRow(
-        {"adaptive delay adjustments", std::to_string(adapt_adjustments)});
-  }
   counters.AddRow({"queue depth", std::to_string(queue_depth)});
   counters.AddRow({"latency p50 (ms)", Fixed(p50_ms, 3)});
   counters.AddRow({"latency p95 (ms)", Fixed(p95_ms, 3)});
@@ -105,7 +90,6 @@ ServerStatsSnapshot AggregateStats(
     total.inflight_coalesced += p.inflight_coalesced;
     total.neardup_hits += p.neardup_hits;
     total.batches += p.batches;
-    total.adapt_adjustments += p.adapt_adjustments;
     total.queue_depth += p.queue_depth;
     for (const auto& [size, count] : p.batch_size_histogram) {
       total.batch_size_histogram[size] += count;
@@ -139,7 +123,6 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
       config_(std::move(config)),
       queue_(config_.queue_capacity),
       cache_(config_.cache_capacity),
-      controller_(ControllerConfig(config_), SystemClock(), &arrivals_),
       // Reservoir sampling seeded from the shard name: bounded memory with
       // run-reproducible sampling decisions.
       latencies_ms_(LatencyReservoir::kDefaultCapacity,
@@ -175,8 +158,6 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
   p.done = std::move(done);
   p.submitted = std::chrono::steady_clock::now();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // Arrivals are stamped on the steady clock the controller decides by, so
-  // the controller and the exported rate gauge see one arrival process.
   const double interval_ms = arrivals_.OnArrival(p.submitted);
   if (interval_ms > 0) arrival_interval_ms_.Observe(interval_ms);
 
@@ -320,17 +301,11 @@ void ServeShard::Finish(const Request& request, ServeResponse response,
 }
 
 void ServeShard::CollectorLoop() {
-  // The window is decided once the first request of the batch is in hand
-  // (not before blocking), so the decision sees the arrival rate and queue
-  // depth of the batch actually forming. The callback runs under the queue
-  // lock and touches only the controller.
-  const auto decide = [this](size_t pending) {
-    return controller_.DecideDelay(pending);
-  };
   std::vector<Pending> batch;
   for (;;) {
     batch.clear();
-    if (!queue_.PopBatch(&batch, config_.max_batch_size, decide)) {
+    if (!queue_.PopBatch(&batch, config_.max_batch_size,
+                         config_.max_batch_delay)) {
       return;  // closed and drained
     }
     CompleteBatch(&batch);
@@ -342,12 +317,9 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
   obs::Tracer& tracer = obs::GlobalTracer();
   std::vector<Pending*> live;
   live.reserve(batch->size());
-  double max_queue_wait_ms = 0;
   for (Pending& p : *batch) {
     // Every popped request waited enqueue -> pickup, whatever its fate.
-    const double wait_ms = ElapsedMs(p.submitted, now);
-    max_queue_wait_ms = std::max(max_queue_wait_ms, wait_ms);
-    queue_wait_ms_.Observe(wait_ms);
+    queue_wait_ms_.Observe(ElapsedMs(p.submitted, now));
     if (p.trace_id != 0) {
       RecordSpan("serve.queue_wait", p.trace_id, tracer.NewSpanId(),
                  p.root_span, p.submitted, now);
@@ -379,9 +351,6 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
     CompleteJoiners(TakeJoiners(KeyOf(p)), failed, outcome, now, 0, 0);
     Finish(p, std::move(failed), outcome, now);
   }
-  // Close the loop: the observed high queue wait is the signal the budget
-  // clamp reacts to on the next decision.
-  controller_.OnBatchComplete(max_queue_wait_ms);
   if (live.empty()) return;
 
   // In-flight coalescing keeps each dedup key to one queued request, so
@@ -517,7 +486,6 @@ ServerStatsSnapshot ServeShard::Stats() const {
   const uint64_t lookups = cache_lookups_.load(std::memory_order_relaxed);
   s.cache_misses = lookups > s.cache_hits ? lookups - s.cache_hits : 0;
   s.queue_depth = queue_.size();
-  s.adapt_adjustments = controller_.adjustments();
   std::vector<double> lats;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -571,17 +539,12 @@ void ServeShard::AppendMetrics(std::vector<obs::MetricSnapshot>* out) const {
       "Cache misses served from a SimHash near-duplicate entry");
   add(kCounter, "rpt_serve_batches_total", s.batches,
       "Model forward passes executed");
-  add(kCounter, "rpt_serve_adapt_adjust_total", s.adapt_adjustments,
-      "Adaptive-batching decisions that changed the effective delay");
   add(kGauge, "rpt_serve_queue_depth", s.queue_depth,
       "Requests waiting in the shard queue");
   add(kGauge, "rpt_serve_arrival_rate_rps",
       arrivals_.RateAt(std::chrono::steady_clock::now()),
       "EWMA request arrival rate in requests per second, decayed by idle "
       "time");
-  add(kGauge, "rpt_serve_effective_delay_us", effective_batch_delay().count(),
-      "Straggler window the collector is currently applying, in "
-      "microseconds (max_batch_delay when the window is fixed)");
   histogram("rpt_serve_queue_wait_ms", queue_wait_ms_,
             "Time from enqueue to micro-batch pickup in milliseconds");
   histogram("rpt_serve_execute_ms", execute_ms_,

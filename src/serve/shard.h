@@ -6,21 +6,18 @@
 // server; RoutedServer (serve/routed_server.h) fans requests out over named
 // pools of shards.
 //
-// Scheduling semantics: micro-batches gather up to `max_batch_size`
-// requests, waiting at most `max_batch_delay` for stragglers; a full queue
-// rejects at Submit with kUnavailable; a request whose deadline passes
-// while queued completes with kDeadlineExceeded; payloads the session's
-// Validate rejects complete with that status; Shutdown() stops intake,
-// drains everything accepted, and joins the collector.
-//
-// The straggler window is decided per batch, on the collector thread, by
-// the shard's AdaptiveBatchController (serve/adaptive.h) from the decayed
-// EWMA arrival rate and the recent observed queue wait, bounded by
-// [min_batch_delay, max_batch_delay] and the `target_queue_wait_ms`
-// budget. By default that range is empty (min_batch_delay is unset), so
-// every batch waits exactly `max_batch_delay`; setting a lower
-// min_batch_delay lets the window adapt. Outputs are unaffected — the
-// window only moves *when* a batch closes, never what the model computes.
+// Scheduling semantics: the collector is work-conserving. Whenever it is
+// free it takes whatever is queued, up to `max_batch_size` requests, and
+// runs it at once; requests that arrive while the model is busy queue up
+// and form the next batch. A nonzero `max_batch_delay` makes the collector
+// wait that long for stragglers after the first request of a batch — worth
+// it only for sessions whose per-pass cost dwarfs their per-row cost, which
+// the synthetic benches model. The window moves *when* a batch closes,
+// never what the model computes. A full queue rejects at Submit with
+// kUnavailable; a request whose deadline passes while queued completes
+// with kDeadlineExceeded; payloads the session's Validate rejects complete
+// with that status; Shutdown() stops intake, drains everything accepted,
+// and joins the collector.
 //
 // Accounting: the shard keeps one record per quantity — counters as shard
 // atomics (they count in every build, -DRPT_OBS_OFF included), batch sizes
@@ -125,10 +122,10 @@ enum class Exactness {
 struct ServerConfig {
   /// Largest micro-batch handed to the session in one forward pass.
   size_t max_batch_size = 8;
-  /// How long the collector waits for stragglers after the first request
-  /// of a batch arrives: always, unless min_batch_delay is set below it, in
-  /// which case this is the adaptive window's upper bound.
-  std::chrono::microseconds max_batch_delay{2000};
+  /// How long the collector waits for stragglers after taking the first
+  /// request of a batch. 0 never waits: a free collector takes what is
+  /// queued and runs it.
+  std::chrono::microseconds max_batch_delay{0};
   /// Pending-request bound; Submit rejects with kUnavailable beyond it.
   size_t queue_capacity = 256;
   /// LRU response-cache entries keyed on the payload; 0 disables caching.
@@ -136,15 +133,6 @@ struct ServerConfig {
   /// Value of the `server` label on this shard's series (AppendMetrics).
   /// RoutedServer names its shards "<route>#<index>".
   std::string name = "serve";
-  /// Lower bound of the adaptive straggler window (a short floor still
-  /// lets a same-instant burst coalesce into one pass). Values at or above
-  /// max_batch_delay — including this unset default — pin the window to
-  /// max_batch_delay.
-  std::chrono::microseconds min_batch_delay = std::chrono::microseconds::max();
-  /// Queue-wait budget in milliseconds for an adaptive window; the
-  /// controller keeps the p95-ish observed wait inside it, never going
-  /// below min_batch_delay.
-  double target_queue_wait_ms = 5.0;
   /// Dedup exactness knob (see the enum). RoutedServer also reads it: a
   /// non-strict route shards by the normalized payload hash, so variants
   /// of one tuple land on the shard whose cache can absorb them.
@@ -186,8 +174,6 @@ struct ServerStatsSnapshot {
                                     // already queued or running
   uint64_t neardup_hits = 0;  // misses served from a SimHash near-duplicate
   uint64_t batches = 0;       // forward passes executed
-  uint64_t adapt_adjustments = 0;  // straggler-window changes (0 when the
-                                   // window is fixed)
   size_t queue_depth = 0;  // at snapshot time
   double mean_batch_size = 0;  // forward-pass rows / forward passes
   /// forward-pass rows -> number of passes with exactly that many rows.
@@ -263,12 +249,6 @@ class ServeShard {
   /// LatencyReservoir::kDefaultCapacity entries however long the shard has
   /// lived), for cross-shard percentile aggregation.
   std::vector<double> RawLatencies() const;
-
-  /// The straggler window the collector is currently applying;
-  /// `max_batch_delay` whenever the window is fixed.
-  std::chrono::microseconds effective_batch_delay() const {
-    return controller_.effective_delay();
-  }
 
   /// Requests currently queued (excludes the batch in flight). The routed
   /// front-end reads this for saturation/least-loaded decisions.
@@ -359,9 +339,8 @@ class ServeShard {
   std::mutex neardup_mu_;
   std::unique_ptr<SimHashIndex> neardup_index_;
   // Arrival estimator behind the rpt_serve_arrival_rate_rps gauge (decayed
-  // on read) and the controller's delay decisions.
+  // on read).
   ArrivalRateEstimator arrivals_;
-  AdaptiveBatchController controller_;  // reads arrivals_; collector-driven
   std::atomic<bool> accepting_{true};
   std::once_flag shutdown_once_;
 

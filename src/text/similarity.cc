@@ -77,6 +77,15 @@ double Jaccard(const std::vector<T>& a, const std::vector<T>& b) {
   return static_cast<double>(inter) / (a.size() + b.size() - inter);
 }
 
+// The sorted distinct tokens of `text`: TextProfile::words without the
+// token sequence, the counts or the trigrams.
+std::vector<std::string> SortedDistinctTokens(std::string_view text) {
+  std::vector<std::string> tokens = Tokenizer::Tokenize(text);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
+}
+
 // Mean over the token sequence of each token's best word similarity.
 double MeanOfBest(const std::vector<int32_t>& sequence,
                   const std::vector<double>& best) {
@@ -137,7 +146,7 @@ double TokenJaccard(const TextProfile& a, const TextProfile& b) {
 }
 
 double TokenJaccard(std::string_view a, std::string_view b) {
-  return TokenJaccard(TextProfile(a), TextProfile(b));
+  return Jaccard(SortedDistinctTokens(a), SortedDistinctTokens(b));
 }
 
 double QGramJaccard(const TextProfile& a, const TextProfile& b) {

@@ -6,8 +6,11 @@
 // its sorted distinct tokens with their counts, and its sorted distinct
 // trigrams, built once. Each measure has a profile form and a string_view
 // form; the string_view form builds both profiles and calls the profile
-// form, so every caller runs one implementation. A caller that needs
-// several measures of one pair (PairFeatures) builds the two profiles once.
+// form, so every caller runs one implementation. The one exception is
+// TokenJaccard's string_view form, which builds only each string's sorted
+// distinct tokens (the profile's `words`) and runs the same set ratio. A
+// caller that needs several measures of one pair (PairFeatures) builds the
+// two profiles once.
 //
 // Every measure is a ratio of integer counts, a square root of exact
 // integer sums, or a mean of per-token maxima summed in token order, so the

@@ -5,10 +5,10 @@
 // so the server can exert backpressure — PushResult distinguishes a full
 // queue from a closed one so the caller can report shutdown correctly),
 // one or more collector threads drain with PopBatch, which blocks for the
-// first element and then gathers more until either `max_n` elements are
-// collected or the straggler window elapses. The window is chosen by a
-// callback invoked once the first element is in hand, so the scheduler can
-// size it from the live queue state (serve/adaptive.h).
+// first element, takes whatever else is queued (up to `max_n`) at once, and
+// only then, if the caller asked for a straggler window, waits that long
+// for more. A zero window is work-conserving: the batch is what was queued
+// when the consumer got there.
 //
 // Close() stops producers but lets consumers drain what is already queued —
 // PopBatch keeps returning elements until the queue is empty, then reports
@@ -57,39 +57,26 @@ class BoundedQueue {
   }
 
   /// Blocks until at least one element is available (or the queue is closed
-  /// and empty), then keeps draining until `max_n` elements are gathered or
-  /// the straggler window has elapsed since the first element was taken.
-  /// The window is decided late: once the first element(s) have been taken,
-  /// `wait_for(pending)` is called exactly once with the number of elements
-  /// available at that instant (already in `*out` plus still queued) and
-  /// returns the window to apply. It is called with the queue lock held, so
-  /// it must not call back into this queue. Appends to `*out` and returns
-  /// true, or returns false when closed and drained.
-  template <typename WaitFn>
-  bool PopBatch(std::vector<T>* out, size_t max_n, WaitFn&& wait_for) {
+  /// and empty), then takes what is queued, up to `max_n` elements. With a
+  /// positive `max_wait` it keeps gathering until `max_n` elements are in
+  /// hand or `max_wait` has passed since the first was taken; with zero it
+  /// returns at once. Appends to `*out` and returns true, or returns false
+  /// when closed and drained.
+  bool PopBatch(std::vector<T>* out, size_t max_n,
+                std::chrono::microseconds max_wait) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;  // closed and fully drained
-    while (!items_.empty() && out->size() < max_n) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    const std::chrono::microseconds max_wait =
-        wait_for(out->size() + items_.size());
-    if (out->size() >= max_n || closed_) return true;
     const auto deadline = std::chrono::steady_clock::now() + max_wait;
     for (;;) {
       while (!items_.empty() && out->size() < max_n) {
         out->push_back(std::move(items_.front()));
         items_.pop_front();
       }
-      if (out->size() >= max_n || closed_) break;
-      if (not_empty_.wait_until(lock, deadline, [this] {
-            return closed_ || !items_.empty();
-          })) {
-        continue;  // woke with work (or closed); loop to drain / exit
-      }
-      break;  // deadline hit with a partial batch
+      if (out->size() >= max_n || closed_ || max_wait.count() <= 0) break;
+      const bool woke = not_empty_.wait_until(
+          lock, deadline, [this] { return closed_ || !items_.empty(); });
+      if (!woke) break;  // deadline hit with a partial batch
     }
     return true;
   }

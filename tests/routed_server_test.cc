@@ -234,10 +234,11 @@ TEST(RoutedServerTest, HashDispatchKeepsCachingShardStable) {
   EXPECT_GE(active_shards, 2u);
 }
 
-TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
-  // An adaptive route and a fixed route over identical replica pools must
-  // serve identical bytes; the adaptive pool's adjustment counter must
-  // surface through the per-route and whole-server aggregates.
+TEST(RoutedServerTest, StragglerWindowMovesTimingNotOutputsOrAggregates) {
+  // A route with no straggler window (the default) and a route with a
+  // 2000 us window over identical replica pools must serve identical bytes,
+  // and each route's and the server's aggregates must equal the sums of
+  // their shards.
   constexpr size_t kShards = 2;
   auto make_replicas = [] {
     std::vector<std::shared_ptr<ModelSession>> replicas;
@@ -247,39 +248,59 @@ TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
     }
     return replicas;
   };
-  ServerConfig fixed_config;
-  fixed_config.cache_capacity = 0;
-  ServerConfig adaptive_config = fixed_config;
-  adaptive_config.min_batch_delay = microseconds(100);
-  RoutedServer server({{"fixed", make_replicas(), fixed_config},
-                       {"adaptive", make_replicas(), adaptive_config}});
+  ServerConfig greedy_config;
+  greedy_config.cache_capacity = 0;
+  ServerConfig windowed_config = greedy_config;
+  windowed_config.max_batch_delay = microseconds(2000);
+  RoutedServer server({{"greedy", make_replicas(), greedy_config},
+                       {"windowed", make_replicas(), windowed_config}});
 
   constexpr int kPayloads = 48;
-  std::vector<std::future<ServeResponse>> fixed_futures, adaptive_futures;
+  std::vector<std::future<ServeResponse>> greedy_futures, windowed_futures;
   for (int i = 0; i < kPayloads; ++i) {
     const std::string payload = "cell_" + std::to_string(i);
-    fixed_futures.push_back(server.Submit("fixed", payload));
-    adaptive_futures.push_back(server.Submit("adaptive", payload));
+    greedy_futures.push_back(server.Submit("greedy", payload));
+    windowed_futures.push_back(server.Submit("windowed", payload));
   }
   for (int i = 0; i < kPayloads; ++i) {
-    ServeResponse f = fixed_futures[i].get();
-    ServeResponse a = adaptive_futures[i].get();
-    ASSERT_TRUE(f.status.ok()) << f.status.ToString();
-    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    EXPECT_EQ(f.output, a.output) << i;  // window moves timing, not bytes
+    ServeResponse g = greedy_futures[i].get();
+    ServeResponse w = windowed_futures[i].get();
+    ASSERT_TRUE(g.status.ok()) << g.status.ToString();
+    ASSERT_TRUE(w.status.ok()) << w.status.ToString();
+    EXPECT_EQ(g.output, w.output) << i;  // window moves timing, not bytes
   }
   server.Shutdown();
 
   RoutedStatsSnapshot stats = server.Stats();
   ASSERT_EQ(stats.routes.size(), 2u);
-  uint64_t fixed_adjust = 0, adaptive_adjust = 0;
+  ServerStatsSnapshot all_shards;
   for (const RouteStatsSnapshot& route : stats.routes) {
+    SCOPED_TRACE(route.route);
+    ASSERT_EQ(route.shards.size(), kShards);
+    ServerStatsSnapshot shard_sum;
+    for (const ServerStatsSnapshot& shard : route.shards) {
+      for (ServerStatsSnapshot* sum : {&shard_sum, &all_shards}) {
+        sum->submitted += shard.submitted;
+        sum->completed += shard.completed;
+        sum->batches += shard.batches;
+        for (const auto& [size, count] : shard.batch_size_histogram) {
+          sum->batch_size_histogram[size] += count;
+        }
+      }
+    }
+    EXPECT_EQ(route.total.submitted, static_cast<uint64_t>(kPayloads));
     EXPECT_EQ(route.total.completed, static_cast<uint64_t>(kPayloads));
-    (route.route == "fixed" ? fixed_adjust : adaptive_adjust) =
-        route.total.adapt_adjustments;
+    EXPECT_EQ(route.total.submitted, shard_sum.submitted);
+    EXPECT_EQ(route.total.completed, shard_sum.completed);
+    EXPECT_EQ(route.total.batches, shard_sum.batches);
+    EXPECT_EQ(route.total.batch_size_histogram,
+              shard_sum.batch_size_histogram);
   }
-  EXPECT_EQ(fixed_adjust, 0u);
-  EXPECT_EQ(stats.total.adapt_adjustments, fixed_adjust + adaptive_adjust);
+  EXPECT_EQ(stats.total.submitted, all_shards.submitted);
+  EXPECT_EQ(stats.total.completed, all_shards.completed);
+  EXPECT_EQ(stats.total.batches, all_shards.batches);
+  EXPECT_EQ(stats.total.batch_size_histogram,
+            all_shards.batch_size_histogram);
 }
 
 TEST(RoutedServerTest, SaturatedShardFallsBackToLeastLoaded) {
@@ -584,8 +605,6 @@ void ExpectExpositionMatchesStats(const std::string& text,
                    s.inflight_coalesced);
   EXPECT_DOUBLE_EQ(series("rpt_serve_neardup_hits_total"), s.neardup_hits);
   EXPECT_DOUBLE_EQ(series("rpt_serve_batches_total"), s.batches);
-  EXPECT_DOUBLE_EQ(series("rpt_serve_adapt_adjust_total"),
-                   s.adapt_adjustments);
   EXPECT_DOUBLE_EQ(series("rpt_serve_queue_depth"), s.queue_depth);
   // The batch-row histogram is built from the exact map, in every build.
   double rows = 0;

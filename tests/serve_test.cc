@@ -2,6 +2,7 @@
 // micro-batch formation, queue-full backpressure, deadline expiry, graceful
 // shutdown drain, and the session adapters' payload round-trips.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -18,7 +19,9 @@
 #include "rpt/extractor.h"
 #include "rpt/matcher.h"
 #include "rpt/vocab_builder.h"
+#include "serve/adaptive.h"
 #include "serve/lru_cache.h"
+#include "serve/reservoir.h"
 #include "serve/sessions.h"
 #include "serve/shard.h"
 #include "table/table.h"
@@ -28,6 +31,7 @@ namespace {
 
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
+using std::chrono::steady_clock;
 
 /// Echo session whose forward passes block until Open() — lets tests pin
 /// requests in the queue deterministically.
@@ -135,6 +139,105 @@ TEST(LruCacheTest, OverwriteAtCapacityNeverEvicts) {
   EXPECT_TRUE(cache.Get("a").has_value());
 }
 
+// ---- ArrivalRateEstimator ---------------------------------------------------
+
+/// Feeds `n` arrivals spaced `gap` apart, starting at `*now` and leaving it
+/// at the last arrival.
+void DriveArrivals(ArrivalRateEstimator* estimator,
+                   steady_clock::time_point* now, int n, microseconds gap) {
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) *now += gap;
+    estimator->OnArrival(*now);
+  }
+}
+
+/// A start time well past the clock's epoch, so "no arrival yet" (0 ns)
+/// stays unambiguous.
+steady_clock::time_point TestEpoch() {
+  return steady_clock::time_point(std::chrono::seconds(1));
+}
+
+TEST(ArrivalRateEstimatorTest, ConvergesToSteadyRate) {
+  steady_clock::time_point now = TestEpoch();
+  ArrivalRateEstimator estimator;
+  DriveArrivals(&estimator, &now, 20, microseconds(1000));  // 1000 rps
+  EXPECT_NEAR(estimator.RateAt(now), 1000.0, 1.0);
+}
+
+TEST(ArrivalRateEstimatorTest, ReturnsIntervalMilliseconds) {
+  steady_clock::time_point now = TestEpoch();
+  ArrivalRateEstimator estimator;
+  EXPECT_DOUBLE_EQ(estimator.OnArrival(now), 0.0);  // first arrival
+  now += microseconds(2500);
+  EXPECT_DOUBLE_EQ(estimator.OnArrival(now), 2.5);
+}
+
+TEST(ArrivalRateEstimatorTest, RateDecaysWhileIdle) {
+  // The stale-EWMA bug: after a burst the gauge reported the burst rate
+  // forever because nothing arrived to update it. The estimator's read
+  // side must decay with idle time instead.
+  steady_clock::time_point now = TestEpoch();
+  ArrivalRateEstimator estimator;
+  DriveArrivals(&estimator, &now, 20, microseconds(500));  // 2000 rps burst
+  const double at_burst = estimator.RateAt(now);
+  EXPECT_NEAR(at_burst, 2000.0, 1.0);
+
+  now += milliseconds(100);
+  const double after_100ms = estimator.RateAt(now);
+  now += milliseconds(900);  // 1 s total idle
+  const double after_1s = estimator.RateAt(now);
+  now += std::chrono::seconds(9);  // 10 s total idle
+  const double after_10s = estimator.RateAt(now);
+
+  EXPECT_LT(after_100ms, at_burst);
+  EXPECT_LT(after_1s, after_100ms);
+  EXPECT_LT(after_10s, after_1s);
+  // Zero arrivals in 1 s bounds the rate at ~1 rps.
+  EXPECT_LE(after_1s, 1.0 + 1e-9);
+  EXPECT_LE(after_10s, 0.1 + 1e-9);
+}
+
+TEST(ArrivalRateEstimatorTest, NoArrivalsReadsZero) {
+  ArrivalRateEstimator estimator;
+  EXPECT_DOUBLE_EQ(estimator.RateAt(TestEpoch()), 0.0);
+}
+
+// ---- LatencyReservoir -------------------------------------------------------
+
+TEST(LatencyReservoirTest, CapsMemoryAndKeepsPercentilesSane) {
+  LatencyReservoir reservoir(4096, /*seed=*/42);
+  constexpr uint64_t kStream = 1'000'000;
+  // Uniform ramp 0..100 ms: any fair sample has a median near 50.
+  for (uint64_t i = 0; i < kStream; ++i) {
+    reservoir.Add(100.0 * static_cast<double>(i) /
+                  static_cast<double>(kStream));
+  }
+  EXPECT_EQ(reservoir.count(), kStream);
+  ASSERT_EQ(reservoir.samples().size(), 4096u);
+  std::vector<double> sample = reservoir.samples();
+  std::sort(sample.begin(), sample.end());
+  const double median = sample[sample.size() / 2];
+  EXPECT_NEAR(median, 50.0, 5.0);
+  EXPECT_GE(sample.front(), 0.0);
+  EXPECT_LE(sample.back(), 100.0);
+}
+
+TEST(LatencyReservoirTest, BelowCapacityKeepsEverything) {
+  LatencyReservoir reservoir(8, /*seed=*/1);
+  for (int i = 0; i < 5; ++i) reservoir.Add(i);
+  EXPECT_EQ(reservoir.count(), 5u);
+  EXPECT_EQ(reservoir.samples().size(), 5u);
+}
+
+TEST(LatencyReservoirTest, SameSeedSamplesIdentically) {
+  LatencyReservoir a(16, /*seed=*/7), b(16, /*seed=*/7);
+  for (int i = 0; i < 1000; ++i) {
+    a.Add(i);
+    b.Add(i);
+  }
+  EXPECT_EQ(a.samples(), b.samples());
+}
+
 // ---- ServeShard -------------------------------------------------------------
 
 TEST(ServeTest, ConcurrentSubmitAllComplete) {
@@ -187,6 +290,26 @@ TEST(ServeTest, ConcurrentSubmitAllComplete) {
   EXPECT_EQ(histogram_total, stats.completed);
   EXPECT_GE(stats.p95_ms, stats.p50_ms);
   EXPECT_GE(stats.p99_ms, stats.p95_ms);
+}
+
+TEST(ServeTest, DefaultConfigServesALoneRequestWithoutWaiting) {
+  // The default collector never waits for stragglers: a request that
+  // arrives alone runs as soon as the collector picks it up, instead of
+  // sitting out a straggler window first.
+  auto session = std::make_shared<SyntheticSession>(microseconds(0),
+                                                    microseconds(0));
+  ServeShard server(session, ServerConfig{});
+  std::vector<double> latencies;
+  for (int i = 0; i < 20; ++i) {
+    ServeResponse r = server.Submit("lone_" + std::to_string(i)).get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.batch_size, 1);
+    latencies.push_back(r.latency_ms);
+  }
+  server.Shutdown();
+  std::sort(latencies.begin(), latencies.end());
+  const double median = 0.5 * (latencies[9] + latencies[10]);
+  EXPECT_LT(median, 1.0);
 }
 
 TEST(ServeTest, MicroBatchingActuallyBatches) {
@@ -585,6 +708,82 @@ TEST(ServeTest, StatsRenderMentionsKeyMetrics) {
   EXPECT_NE(report.find("serving stats"), std::string::npos);
   EXPECT_NE(report.find("latency p95"), std::string::npos);
   EXPECT_NE(report.find("batch size"), std::string::npos);
+}
+
+TEST(ServeTest, ReservoirBoundsShardStatsMemory) {
+  auto session = std::make_shared<SyntheticSession>(microseconds(0),
+                                                    microseconds(0));
+  ServerConfig config;
+  config.max_batch_size = 64;
+  config.max_batch_delay = microseconds(50);
+  config.queue_capacity = 8192;
+  config.cache_capacity = 0;
+  ServeShard server(session, config);
+  constexpr int kRequests = 6000;  // well past the 4096-sample cap
+  std::vector<std::future<ServeResponse>> futures;
+  futures.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(server.Submit("r" + std::to_string(i)));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
+  server.Shutdown();
+  ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
+  // The snapshot's percentile source is the bounded sample, not an
+  // ever-growing vector.
+  EXPECT_GE(stats.p95_ms, stats.p50_ms);
+  EXPECT_GT(stats.max_ms, 0.0);
+}
+
+TEST(ServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
+  // Regression for the shutdown/queue-full race: Submit checks accepting_,
+  // then pushes; a Shutdown() in between closes the queue, and the closed
+  // push used to be miscounted as queue-full backpressure with the wrong
+  // message. With a queue that never fills, every rejection must be a
+  // shutdown rejection.
+  for (int round = 0; round < 8; ++round) {
+    auto session = std::make_shared<SyntheticSession>(microseconds(20),
+                                                      microseconds(2));
+    ServerConfig config;
+    config.max_batch_size = 16;
+    config.max_batch_delay = microseconds(200);
+    config.queue_capacity = 1 << 20;  // cannot fill in this test
+    config.cache_capacity = 0;
+    ServeShard server(session, config);
+
+    constexpr int kThreads = 4;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> ok{0}, shutdown_rejected{0}, queue_full{0};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+          ServeResponse r = server.Submit("t" + std::to_string(t) + "_" +
+                                          std::to_string(i)).get();
+          if (r.status.ok()) {
+            ok.fetch_add(1);
+          } else if (r.status.message().find("shut down") !=
+                     std::string::npos) {
+            shutdown_rejected.fetch_add(1);
+            break;  // server is gone; stop hammering
+          } else {
+            queue_full.fetch_add(1);
+          }
+        }
+      });
+    }
+    std::this_thread::sleep_for(milliseconds(2));
+    server.Shutdown();
+    stop.store(true);
+    for (auto& c : clients) c.join();
+
+    ServerStatsSnapshot stats = server.Stats();
+    EXPECT_EQ(queue_full.load(), 0u);
+    EXPECT_EQ(stats.rejected, 0u) << "closed-queue push misread as full";
+    EXPECT_EQ(stats.shutdown_rejected, shutdown_rejected.load());
+    EXPECT_EQ(stats.completed, ok.load());
+    EXPECT_EQ(stats.submitted, ok.load() + shutdown_rejected.load());
+  }
 }
 
 // ---- AggregateStats ---------------------------------------------------------

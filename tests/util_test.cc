@@ -479,10 +479,7 @@ TEST(ThreadPoolTest, InstanceParallelForSmallAndEmptyRanges) {
 
 // ---- BoundedQueue ----------------------------------------------------------------------
 
-/// A PopBatch window callback that always answers `us` microseconds.
-auto WaitFor(int64_t us) {
-  return [us](size_t) { return std::chrono::microseconds(us); };
-}
+using std::chrono::microseconds;
 
 TEST(BoundedQueueTest, TryPushRejectsWhenFull) {
   BoundedQueue<int> q(2);
@@ -492,7 +489,7 @@ TEST(BoundedQueueTest, TryPushRejectsWhenFull) {
   EXPECT_EQ(q.TryPush(3), PushResult::kFull);
   EXPECT_EQ(q.size(), 2u);
   std::vector<int> popped;
-  ASSERT_TRUE(q.PopBatch(&popped, 1, WaitFor(1000)));
+  ASSERT_TRUE(q.PopBatch(&popped, 1, microseconds(1000)));
   EXPECT_EQ(popped, (std::vector<int>{1}));
   EXPECT_EQ(q.TryPush(3), PushResult::kOk);
 }
@@ -503,28 +500,37 @@ TEST(BoundedQueueTest, PopBatchGathersUpToMax) {
     ASSERT_EQ(q.TryPush(std::move(i)), PushResult::kOk);
   }
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, microseconds(100)));
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
   batch.clear();
-  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, microseconds(100)));
   EXPECT_EQ(batch, (std::vector<int>{4, 5}));  // partial batch on timeout
 }
 
-TEST(BoundedQueueTest, PopBatchAsksForTheWindowOnceWithThePendingCount) {
+TEST(BoundedQueueTest, ZeroWindowTakesWhatIsQueuedAndReturnsAtOnce) {
   BoundedQueue<int> q(16);
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(q.TryPush(std::move(i)), PushResult::kOk);
   }
-  std::vector<size_t> asked;
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, [&asked](size_t pending) {
-    asked.push_back(pending);
-    return std::chrono::microseconds(100);
-  }));
-  // Asked once, after the first elements are taken, with everything then
-  // available: the 4 popped plus the 2 still queued.
-  EXPECT_EQ(asked, (std::vector<size_t>{6}));
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_TRUE(q.PopBatch(&batch, 8, microseconds(0)));
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
+
+  // One queued item goes out alone: the pop must not wait for a producer
+  // that pushes 100 ms later.
+  ASSERT_EQ(q.TryPush(7), PushResult::kOk);
+  std::thread producer([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    q.TryPush(8);
+  });
+  batch.clear();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(q.PopBatch(&batch, 8, microseconds(0)));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  producer.join();
+  EXPECT_EQ(batch, (std::vector<int>{7}));
+  EXPECT_LT(waited, std::chrono::milliseconds(50));
+  EXPECT_EQ(q.size(), 1u);  // the late push is left for the next pop
 }
 
 TEST(BoundedQueueTest, CloseDrainsThenReportsClosed) {
@@ -535,10 +541,10 @@ TEST(BoundedQueueTest, CloseDrainsThenReportsClosed) {
   // backpressure, for this case.
   EXPECT_EQ(q.TryPush(8), PushResult::kClosed);
   std::vector<int> batch;
-  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, microseconds(100)));
   EXPECT_EQ(batch, (std::vector<int>{7}));  // drain survives Close
   batch.clear();
-  EXPECT_FALSE(q.PopBatch(&batch, 4, WaitFor(100)));
+  EXPECT_FALSE(q.PopBatch(&batch, 4, microseconds(100)));
 }
 
 TEST(BoundedQueueTest, PopBatchWakesOnConcurrentPush) {
@@ -549,7 +555,7 @@ TEST(BoundedQueueTest, PopBatchWakesOnConcurrentPush) {
   });
   std::vector<int> batch;
   // Blocks until the producer delivers, despite starting on an empty queue.
-  ASSERT_TRUE(q.PopBatch(&batch, 4, WaitFor(100)));
+  ASSERT_TRUE(q.PopBatch(&batch, 4, microseconds(100)));
   EXPECT_EQ(batch, (std::vector<int>{42}));
   producer.join();
 }
